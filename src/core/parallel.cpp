@@ -131,6 +131,29 @@ void run_compute_tasks(int tasks, const std::function<void(int)>& fn) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
+std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t n,
+                                                  std::int64_t chunks,
+                                                  std::int64_t c) {
+  const std::int64_t base = n / chunks;
+  const std::int64_t rem = n % chunks;
+  const std::int64_t lo = c * base + std::min(c, rem);
+  return {lo, lo + base + (c < rem ? 1 : 0)};
+}
+
+void for_each_sample(std::int64_t batch,
+                     const std::function<void(std::int64_t)>& fn) {
+  const int tasks =
+      static_cast<int>(std::min<std::int64_t>(compute_threads(), batch));
+  if (tasks <= 1) {
+    for (std::int64_t n = 0; n < batch; ++n) fn(n);
+    return;
+  }
+  run_compute_tasks(tasks, [&](int t) {
+    const auto [lo, hi] = chunk_range(batch, tasks, t);
+    for (std::int64_t n = lo; n < hi; ++n) fn(n);
+  });
+}
+
 ThreadPool::ThreadPool(int threads) {
   const int n = std::max(1, threads);
   workers_.reserve(static_cast<std::size_t>(n));

@@ -20,6 +20,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace dcn {
@@ -71,6 +72,20 @@ bool in_compute_worker();
 /// this function only varies which thread executes a task, never what a
 /// task is. See DESIGN.md "Tensor-engine threading model".
 void run_compute_tasks(int tasks, const std::function<void(int)>& fn);
+
+/// Contiguous near-even partition of [0, n) into `chunks` pieces: piece
+/// `c`'s [begin, end). The first n % chunks pieces hold one extra item.
+std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t n,
+                                                  std::int64_t chunks,
+                                                  std::int64_t c);
+
+/// Run fn(i) for every sample i in [0, batch): contiguous chunk_range pieces
+/// over min(compute_threads(), batch) compute tasks, inline when that is 1.
+/// For per-sample work that writes disjoint outputs and computes a sample
+/// the same wherever it runs, so results are bit-identical at any thread
+/// count.
+void for_each_sample(std::int64_t batch,
+                     const std::function<void(std::int64_t)>& fn);
 
 /// Fixed-size pool of std::thread workers draining a FIFO task queue.
 /// Tasks run in submission order (though they complete in any order); an

@@ -1,31 +1,12 @@
 #include "detect/quantized_sppnet.hpp"
 
-#include <algorithm>
-
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
-#include "tensor/im2col.hpp"
-#include "tensor/qgemm.hpp"
-#include "tensor/workspace.hpp"
+#include "nn/pool.hpp"
 
 namespace dcn::detect {
-namespace {
-
-// Contiguous near-even partition of [0, batch) into `chunks` pieces (same
-// scheme as Conv2d's sample partition).
-std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t batch,
-                                                  std::int64_t chunks,
-                                                  std::int64_t c) {
-  const std::int64_t base = batch / chunks;
-  const std::int64_t rem = batch % chunks;
-  const std::int64_t lo = c * base + std::min(c, rem);
-  return {lo, lo + base + (c < rem ? 1 : 0)};
-}
-
-}  // namespace
 
 QuantizedSppNet::QuantizedSppNet(SppNet& net, const Tensor& calibration,
                                  const CalibrationOptions& options)
@@ -36,38 +17,41 @@ QuantizedSppNet::QuantizedSppNet(SppNet& net, const Tensor& calibration,
   const bool was_training = net.is_training();
   net.set_training(false);
 
-  // Walk the float net layer by layer: observe the activations feeding each
-  // conv/linear, freeze its weights, and note a trailing ReLU so it fuses
-  // into the qgemm epilogue (the float walk still executes the ReLU module
-  // itself — only the quantized replay skips it).
+  // Walk the float net layer by layer: observe the activations `x` feeding
+  // each conv/linear, freeze its weights, and note a trailing ReLU so it
+  // fuses into the qgemm epilogue (the float walk still executes the ReLU
+  // module itself — only the quantized replay skips it).
   Tensor x = calibration;
+  const auto freeze = [&](Tensor& weight, Tensor& bias,
+                          Sequential& layers, std::size_t i) {
+    RangeObserver observer;
+    observer.observe(x.data(), x.numel());
+    QLayer q;
+    const std::int64_t rows = weight.dim(0);
+    q.weights = quantize_weights_per_channel(weight.data(), rows,
+                                             weight.numel() / rows);
+    q.bias.assign(bias.data(), bias.data() + rows);
+    q.input_params = observer.quant_params(options);
+    q.relu = i + 1 < layers.size() &&
+             dynamic_cast<ReLU*>(&layers.layer(i + 1)) != nullptr;
+    activation_params_.push_back(q.input_params);
+    return q;
+  };
   Sequential& trunk = net.trunk();
   for (std::size_t i = 0; i < trunk.size(); ++i) {
     Module& layer = trunk.layer(i);
     if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
-      RangeObserver observer;
-      observer.observe(x.data(), x.numel());
       TrunkOp op;
       op.is_conv = true;
-      QConv& q = op.conv;
-      q.in_channels = conv->in_channels();
-      q.kernel = conv->kernel_size();
-      q.stride = conv->stride();
-      q.padding = conv->padding();
-      const std::int64_t k = q.in_channels * q.kernel * q.kernel;
-      q.weights = quantize_weights_per_channel(conv->weight().data(),
-                                               conv->out_channels(), k);
-      q.bias.assign(conv->bias().data(),
-                    conv->bias().data() + conv->out_channels());
-      q.input_params = observer.quant_params(options);
-      q.relu = i + 1 < trunk.size() &&
-               dynamic_cast<ReLU*>(&trunk.layer(i + 1)) != nullptr;
-      activation_params_.push_back(q.input_params);
+      op.kernel = conv->kernel_size();
+      op.stride = conv->stride();
+      op.padding = conv->padding();
+      op.layer = freeze(conv->weight(), conv->bias(), trunk, i);
       trunk_.push_back(std::move(op));
     } else if (auto* pool = dynamic_cast<MaxPool2d*>(&layer)) {
       TrunkOp op;
-      op.pool =
-          std::make_unique<MaxPool2d>(pool->kernel_size(), pool->stride());
+      op.kernel = pool->kernel_size();
+      op.stride = pool->stride();
       trunk_.push_back(std::move(op));
     } else {
       DCN_CHECK(dynamic_cast<ReLU*>(&layer) != nullptr)
@@ -80,19 +64,7 @@ QuantizedSppNet::QuantizedSppNet(SppNet& net, const Tensor& calibration,
   for (std::size_t i = 0; i < head.size(); ++i) {
     Module& layer = head.layer(i);
     if (auto* linear = dynamic_cast<Linear*>(&layer)) {
-      RangeObserver observer;
-      observer.observe(x.data(), x.numel());
-      QLinear q;
-      q.weights = quantize_weights_per_channel(
-          linear->weight().data(), linear->out_features(),
-          linear->in_features());
-      q.bias.assign(linear->bias().data(),
-                    linear->bias().data() + linear->out_features());
-      q.input_params = observer.quant_params(options);
-      q.relu = i + 1 < head.size() &&
-               dynamic_cast<ReLU*>(&head.layer(i + 1)) != nullptr;
-      activation_params_.push_back(q.input_params);
-      head_.push_back(std::move(q));
+      head_.push_back(freeze(linear->weight(), linear->bias(), head, i));
     } else {
       DCN_CHECK(dynamic_cast<ReLU*>(&layer) != nullptr)
           << "unsupported head layer " << layer.name();
@@ -103,107 +75,20 @@ QuantizedSppNet::QuantizedSppNet(SppNet& net, const Tensor& calibration,
   net.set_training(was_training);
 }
 
-Tensor QuantizedSppNet::conv_forward(const QConv& conv, const Tensor& input) {
-  DCN_CHECK(input.rank() == 4) << "quantized conv expects NCHW, got "
-                               << input.shape().to_string();
-  DCN_CHECK(input.dim(1) == conv.in_channels)
-      << "quantized conv channels " << input.dim(1)
-      << " != " << conv.in_channels;
-  const std::int64_t batch = input.dim(0);
-  ConvGeometry g;
-  g.channels = conv.in_channels;
-  g.height = input.dim(2);
-  g.width = input.dim(3);
-  g.kernel_h = g.kernel_w = conv.kernel;
-  g.stride_h = g.stride_w = conv.stride;
-  g.pad_h = g.pad_w = conv.padding;
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  DCN_CHECK(oh > 0 && ow > 0) << "quantized conv output would be empty for "
-                              << input.shape().to_string();
-  const std::int64_t out_channels = conv.weights.rows;
-  const std::int64_t k = conv.weights.cols;
-  const std::int64_t ohw = oh * ow;
-
-  Tensor output(Shape{batch, out_channels, oh, ow});
-  const std::int64_t in_stride = conv.in_channels * g.height * g.width;
-  const std::int64_t out_stride = out_channels * ohw;
-  QuantEpilogue epilogue;
-  epilogue.row_bias = conv.bias.data();
-  epilogue.relu = conv.relu;
-  const auto run_sample = [&](std::int64_t n) {
-    Workspace& ws = Workspace::tls();
-    Workspace::Scope scope(ws);
-    // im2col in float, then quantize the columns: padding taps lower to
-    // exact 0.0f, which quantizes to the (integer) zero point exactly.
-    float* col = ws.floats(static_cast<std::size_t>(k * ohw));
-    im2col(input.data() + n * in_stride, g, col);
-    std::uint8_t* qcol = ws.bytes(static_cast<std::size_t>(k * ohw));
-    quantize_u8(col, k * ohw, conv.input_params, qcol);
-    qgemm(conv.weights, qcol, ohw, ohw, conv.input_params,
-          output.data() + n * out_stride, ohw, epilogue);
-  };
-  // Samples are independent and each is computed identically wherever it
-  // runs, so the sample partition cannot affect the (bit-exact) output.
-  const int tasks =
-      static_cast<int>(std::min<std::int64_t>(compute_threads(), batch));
-  if (tasks <= 1) {
-    for (std::int64_t n = 0; n < batch; ++n) run_sample(n);
-  } else {
-    run_compute_tasks(tasks, [&](int t) {
-      const auto [lo, hi] = chunk_range(batch, tasks, t);
-      for (std::int64_t n = lo; n < hi; ++n) run_sample(n);
-    });
-  }
-  return output;
-}
-
-Tensor QuantizedSppNet::linear_forward(const QLinear& linear,
-                                       const Tensor& input) {
-  DCN_CHECK(input.rank() == 2) << "quantized linear expects [N, F], got "
-                               << input.shape().to_string();
-  const std::int64_t n = input.dim(0);
-  const std::int64_t features = input.dim(1);
-  DCN_CHECK(features == linear.weights.cols)
-      << "quantized linear features " << features
-      << " != " << linear.weights.cols;
-  const std::int64_t out = linear.weights.rows;
-
-  Tensor output(Shape{n, out});
-  Workspace& ws = Workspace::tls();
-  Workspace::Scope scope(ws);
-  // y^T[out, n] = W[out, f] x^T[f, n]: quantize the input, transpose it into
-  // the activations-on-the-right orientation, and transpose the result back.
-  // The bias is per output feature — a per-row bias of the transposed
-  // product, so it still rides the fused epilogue.
-  std::uint8_t* qx = ws.bytes(static_cast<std::size_t>(n * features));
-  quantize_u8(input.data(), n * features, linear.input_params, qx);
-  std::uint8_t* qxt = ws.bytes(static_cast<std::size_t>(features * n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < features; ++j) {
-      qxt[j * n + i] = qx[i * features + j];
-    }
-  }
-  float* yt = ws.floats(static_cast<std::size_t>(out * n));
-  QuantEpilogue epilogue;
-  epilogue.row_bias = linear.bias.data();
-  epilogue.relu = linear.relu;
-  qgemm(linear.weights, qxt, n, n, linear.input_params, yt, n, epilogue);
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t o = 0; o < out; ++o) {
-      output.data()[i * out + o] = yt[o * n + i];
-    }
-  }
-  return output;
-}
-
 Tensor QuantizedSppNet::forward(const Tensor& input) {
   Tensor x = input;
-  for (TrunkOp& op : trunk_) {
-    x = op.is_conv ? conv_forward(op.conv, x) : op.pool->forward(x);
+  for (const TrunkOp& op : trunk_) {
+    const QLayer& q = op.layer;
+    x = op.is_conv ? conv2d_forward_int8(x, q.weights, q.bias.data(),
+                                         q.input_params, op.kernel, op.stride,
+                                         op.padding, q.relu)
+                   : max_pool2d(x, op.kernel, op.stride);
   }
   x = spp_.forward(x);
-  for (QLinear& q : head_) x = linear_forward(q, x);
+  for (const QLayer& q : head_) {
+    x = linear_forward_int8(x, q.weights, q.bias.data(), q.input_params,
+                            q.relu);
+  }
   return x;
 }
 

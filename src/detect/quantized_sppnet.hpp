@@ -5,22 +5,21 @@
 // zero, no zero-point term on the weight side), activations become affine
 // uint8 with per-tensor parameters calibrated by running a seeded
 // calibration split through the float network (calibration.hpp). Conv and
-// linear layers execute as qgemm with the dequantize+bias+ReLU epilogue
-// fused into the int32->float store; max pools, SPP, and the layer
-// boundaries stay float — pooling is order-preserving, so quantizing it
-// would add error without saving meaningful work.
+// linear layers run conv2d_forward_int8 / linear_forward_int8 (qgemm with
+// the dequantize+bias+ReLU epilogue fused into the int32->float store);
+// max pools, SPP, and the layer boundaries stay float — pooling is
+// order-preserving, so quantizing it would add error without saving
+// meaningful work.
 //
 // The quantized forward pass inherits the tensor engine's determinism
 // contract: outputs are bit-identical across thread counts and runs.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "detect/calibration.hpp"
 #include "detect/sppnet.hpp"
-#include "nn/pool.hpp"
 #include "tensor/quantize.hpp"
 
 namespace dcn::detect {
@@ -57,35 +56,26 @@ class QuantizedSppNet : public Module {
   }
 
  private:
-  struct QConv {
-    std::int64_t in_channels = 0;
-    std::int64_t kernel = 0;
-    std::int64_t stride = 1;
-    std::int64_t padding = 0;
-    QuantizedWeights weights;  // [out_c, in_c*k*k]
+  /// A frozen conv or linear layer.
+  struct QLayer {
+    QuantizedWeights weights;  // conv [out_c, in_c*k*k]; linear [out, in]
     std::vector<float> bias;
     QuantParams input_params;
     bool relu = false;  // fused trailing ReLU
   };
-  struct QLinear {
-    QuantizedWeights weights;  // [out, in]
-    std::vector<float> bias;
-    QuantParams input_params;
-    bool relu = false;
-  };
+  /// A trunk conv (`layer` set) or max pool, with its window geometry.
   struct TrunkOp {
     bool is_conv = false;
-    QConv conv;                          // when is_conv
-    std::unique_ptr<MaxPool2d> pool;     // otherwise
+    std::int64_t kernel = 0;
+    std::int64_t stride = 1;
+    std::int64_t padding = 0;  // conv only
+    QLayer layer;              // conv only
   };
-
-  Tensor conv_forward(const QConv& conv, const Tensor& input);
-  Tensor linear_forward(const QLinear& linear, const Tensor& input);
 
   SppNetConfig config_;
   std::vector<TrunkOp> trunk_;
   SpatialPyramidPool spp_;
-  std::vector<QLinear> head_;
+  std::vector<QLayer> head_;
   std::vector<QuantParams> activation_params_;
 };
 

@@ -4,28 +4,12 @@
 #include <utility>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
-#include "tensor/gemm.hpp"
-#include "tensor/im2col.hpp"
-#include "tensor/qgemm.hpp"
-#include "tensor/workspace.hpp"
 
 namespace dcn::graph {
 namespace {
-
-// Contiguous near-even partition of [0, batch) into `chunks` pieces (the
-// same scheme as Conv2d's sample partition — thread-count independent).
-std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t batch,
-                                                  std::int64_t chunks,
-                                                  std::int64_t c) {
-  const std::int64_t base = batch / chunks;
-  const std::int64_t rem = batch % chunks;
-  const std::int64_t lo = c * base + std::min(c, rem);
-  return {lo, lo + base + (c < rem ? 1 : 0)};
-}
 
 bool is_conv_kind(OpKind kind) {
   return kind == OpKind::kConv2d || kind == OpKind::kFusedConvReLU;
@@ -44,138 +28,6 @@ void relu_exact(const float* src, std::int64_t n, float* dst) {
     const float v = src[i];
     dst[i] = v < 0.0f ? 0.0f : v;
   }
-}
-
-ConvGeometry conv_geometry(const OpNode& node, const Tensor& x) {
-  ConvGeometry g;
-  g.channels = x.dim(1);
-  g.height = x.dim(2);
-  g.width = x.dim(3);
-  g.kernel_h = g.kernel_w = node.attrs.kernel;
-  g.stride_h = g.stride_w = node.attrs.stride;
-  g.pad_h = g.pad_w = node.attrs.padding;
-  return g;
-}
-
-// Batch-parallel sample loop shared by the conv paths; identical to
-// Conv2d::forward's partition so thread count never changes what a sample
-// computes.
-void for_each_sample(std::int64_t batch,
-                     const std::function<void(std::int64_t)>& run_sample) {
-  const int tasks =
-      static_cast<int>(std::min<std::int64_t>(compute_threads(), batch));
-  if (tasks <= 1) {
-    for (std::int64_t n = 0; n < batch; ++n) run_sample(n);
-  } else {
-    run_compute_tasks(tasks, [&](int t) {
-      const auto [lo, hi] = chunk_range(batch, tasks, t);
-      for (std::int64_t n = lo; n < hi; ++n) run_sample(n);
-    });
-  }
-}
-
-Tensor run_conv_fp32(const OpNode& node, const Tensor& x,
-                     const Tensor& weight, const Tensor& bias, bool fused) {
-  const std::int64_t batch = x.dim(0);
-  const ConvGeometry g = conv_geometry(node, x);
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t out_c = node.attrs.out_channels;
-  const std::int64_t k = g.channels * g.kernel_h * g.kernel_w;
-  const std::int64_t ohw = oh * ow;
-  Tensor out(Shape{batch, out_c, oh, ow});
-  const std::int64_t in_stride = g.channels * g.height * g.width;
-  const std::int64_t out_stride = out_c * ohw;
-  GemmEpilogue epilogue;
-  epilogue.row_bias = bias.data();
-  epilogue.relu = fused;  // FusedConvReLU: the ReLU rides the C-tile store
-  for_each_sample(batch, [&](std::int64_t n) {
-    Workspace& ws = Workspace::tls();
-    Workspace::Scope scope(ws);
-    float* col = ws.floats(static_cast<std::size_t>(k * ohw));
-    im2col(x.data() + n * in_stride, g, col);
-    sgemm_ex(false, false, out_c, ohw, k, 1.0f, weight.data(), k, col, ohw,
-             0.0f, out.data() + n * out_stride, ohw, epilogue);
-  });
-  return out;
-}
-
-Tensor run_conv_int8(const OpNode& node, const Tensor& x,
-                     const QuantizedWeights& weights, const float* bias,
-                     const QuantParams& input_params, bool fused) {
-  const std::int64_t batch = x.dim(0);
-  const ConvGeometry g = conv_geometry(node, x);
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t out_c = weights.rows;
-  const std::int64_t k = weights.cols;
-  const std::int64_t ohw = oh * ow;
-  Tensor out(Shape{batch, out_c, oh, ow});
-  const std::int64_t in_stride = g.channels * g.height * g.width;
-  const std::int64_t out_stride = out_c * ohw;
-  QuantEpilogue epilogue;
-  epilogue.row_bias = bias;
-  epilogue.relu = fused;
-  for_each_sample(batch, [&](std::int64_t n) {
-    Workspace& ws = Workspace::tls();
-    Workspace::Scope scope(ws);
-    // im2col in float, then quantize the columns — padding taps lower to
-    // exact 0.0f, which hits the integer zero point exactly (the same
-    // lowering QuantizedSppNet uses).
-    float* col = ws.floats(static_cast<std::size_t>(k * ohw));
-    im2col(x.data() + n * in_stride, g, col);
-    std::uint8_t* qcol = ws.bytes(static_cast<std::size_t>(k * ohw));
-    quantize_u8(col, k * ohw, input_params, qcol);
-    qgemm(weights, qcol, ohw, ohw, input_params,
-          out.data() + n * out_stride, ohw, epilogue);
-  });
-  return out;
-}
-
-Tensor run_linear_fp32(const Tensor& x, const Tensor& weight,
-                       const Tensor& bias, bool fused) {
-  const std::int64_t batch = x.dim(0);
-  const std::int64_t out_f = weight.dim(0);
-  const std::int64_t in_f = weight.dim(1);
-  Tensor out(Shape{batch, out_f});
-  GemmEpilogue epilogue;
-  epilogue.col_bias = bias.data();
-  epilogue.relu = fused;
-  sgemm_ex(false, true, batch, out_f, in_f, 1.0f, x.data(), in_f,
-           weight.data(), in_f, 0.0f, out.data(), out_f, epilogue);
-  return out;
-}
-
-Tensor run_linear_int8(const Tensor& x, const QuantizedWeights& weights,
-                       const float* bias, const QuantParams& input_params,
-                       bool fused) {
-  const std::int64_t n = x.dim(0);
-  const std::int64_t features = weights.cols;
-  const std::int64_t out = weights.rows;
-  Tensor output(Shape{n, out});
-  Workspace& ws = Workspace::tls();
-  Workspace::Scope scope(ws);
-  // y^T[out, n] = W[out, f] x^T[f, n] with the per-output-feature bias as a
-  // per-row bias of the transposed product (QuantizedSppNet's layout).
-  std::uint8_t* qx = ws.bytes(static_cast<std::size_t>(n * features));
-  quantize_u8(x.data(), n * features, input_params, qx);
-  std::uint8_t* qxt = ws.bytes(static_cast<std::size_t>(features * n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < features; ++j) {
-      qxt[j * n + i] = qx[i * features + j];
-    }
-  }
-  float* yt = ws.floats(static_cast<std::size_t>(out * n));
-  QuantEpilogue epilogue;
-  epilogue.row_bias = bias;
-  epilogue.relu = fused;
-  qgemm(weights, qxt, n, n, input_params, yt, n, epilogue);
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t o = 0; o < out; ++o) {
-      output.data()[i * out + o] = yt[o * n + i];
-    }
-  }
-  return output;
 }
 
 }  // namespace
@@ -294,15 +146,16 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
           (*observers)[idx].observe(x.data(), x.numel());
         }
         const bool fused = node.kind == OpKind::kFusedConvReLU;
-        if (int8) {
-          const QuantOp& q = quant_[idx];
-          values[idx] = run_conv_int8(node, x, q.weights,
-                                      weights_.at(node.name).bias.data(),
-                                      q.input_params, fused);
-        } else {
-          const OpWeights& w = weights_.at(node.name);
-          values[idx] = run_conv_fp32(node, x, w.weight, w.bias, fused);
-        }
+        const OpWeights& w = weights_.at(node.name);
+        const QuantOp& q = quant_[idx];
+        values[idx] =
+            int8 ? conv2d_forward_int8(x, q.weights, w.bias.data(),
+                                       q.input_params, node.attrs.kernel,
+                                       node.attrs.stride, node.attrs.padding,
+                                       fused)
+                 : conv2d_forward(x, w.weight, w.bias.data(),
+                                  node.attrs.stride, node.attrs.padding,
+                                  fused);
         break;
       }
       case OpKind::kLinear:
@@ -317,29 +170,23 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
                              ? raw
                              : raw.reshaped(Shape{batch, raw.numel() / batch});
         const bool fused = node.kind == OpKind::kFusedLinearReLU;
-        if (int8) {
-          const QuantOp& q = quant_[idx];
-          values[idx] = run_linear_int8(x, q.weights,
-                                        weights_.at(node.name).bias.data(),
-                                        q.input_params, fused);
-        } else {
-          const OpWeights& w = weights_.at(node.name);
-          values[idx] = run_linear_fp32(x, w.weight, w.bias, fused);
-        }
+        const OpWeights& w = weights_.at(node.name);
+        const QuantOp& q = quant_[idx];
+        values[idx] = int8 ? linear_forward_int8(x, q.weights, w.bias.data(),
+                                                 q.input_params, fused)
+                           : linear_forward(x, w.weight, w.bias.data(), fused);
         break;
       }
-      case OpKind::kMaxPool: {
-        MaxPool2d pool(node.attrs.kernel, node.attrs.stride);
+      case OpKind::kMaxPool:
         values[idx] =
-            pool.forward(values[static_cast<std::size_t>(node.inputs[0])]);
+            max_pool2d(values[static_cast<std::size_t>(node.inputs[0])],
+                       node.attrs.kernel, node.attrs.stride);
         break;
-      }
-      case OpKind::kAdaptivePool: {
-        AdaptiveMaxPool2d pool(node.attrs.pool_out, node.attrs.pool_out);
-        values[idx] =
-            pool.forward(values[static_cast<std::size_t>(node.inputs[0])]);
+      case OpKind::kAdaptivePool:
+        values[idx] = adaptive_max_pool2d(
+            values[static_cast<std::size_t>(node.inputs[0])],
+            node.attrs.pool_out, node.attrs.pool_out);
         break;
-      }
       case OpKind::kReLU: {
         const Tensor& x = values[static_cast<std::size_t>(node.inputs[0])];
         Tensor out(x.shape());

@@ -4,10 +4,13 @@
 // the *same* DAG the IOS scheduler partitions and the simulated device
 // prices can also be run numerically — which is what lets tests prove that
 // the optimizer passes are semantics-preserving instead of assuming it.
-// Fused nodes (FusedConvReLU / FusedLinearReLU) execute through the tensor
-// engine's existing fused epilogues (GemmEpilogue / QuantEpilogue): the
-// ReLU is applied in the GEMM's C-tile store, exactly as the unfused
-// graph's standalone ReLU node computes it, so a fused graph's outputs are
+// The executor only walks the graph: every conv, linear and pool node is
+// computed by the same per-layer function the nn modules and
+// QuantizedSppNet call (conv2d_forward[_int8], linear_forward[_int8],
+// max_pool2d, adaptive_max_pool2d). Fused nodes (FusedConvReLU /
+// FusedLinearReLU) pass relu = true, so the ReLU is applied in the GEMM's
+// C-tile store (GemmEpilogue / QuantEpilogue), exactly as the unfused
+// graph's standalone ReLU node computes it; a fused graph's outputs are
 // bit-identical to its unfused twin's — at fp32 and int8, at any thread
 // count (the engine's determinism contract, DESIGN.md "Tensor-engine
 // threading model").
@@ -56,16 +59,17 @@ class NumericExecutor {
   Tensor forward(const Tensor& input) const;
 
   /// Calibrate activation ranges with an fp32 walk of `calibration` (each
-  /// conv/linear observes the float tensor feeding it, exactly like
-  /// QuantizedSppNet's calibration walk) and freeze conv/linear weights to
-  /// symmetric per-channel int8.
+  /// conv/linear observes the float tensor feeding it — the observation
+  /// points of QuantizedSppNet's independent calibration walk) and freeze
+  /// conv/linear weights to symmetric per-channel int8.
   void quantize(const Tensor& calibration,
                 const detect::CalibrationOptions& options = {});
   bool quantized() const { return quantized_; }
 
-  /// INT8 inference (requires quantize()): conv/linear run as qgemm with
-  /// the fused dequant+bias+ReLU epilogue; pools, concat, and standalone
-  /// ReLU stay float, mirroring QuantizedSppNet.
+  /// INT8 inference (requires quantize()): conv/linear nodes run
+  /// conv2d_forward_int8 / linear_forward_int8 (qgemm with the fused
+  /// dequant+bias+ReLU epilogue); pools, concat, and standalone ReLU stay
+  /// float.
   Tensor forward_int8(const Tensor& input) const;
 
   const Graph& graph() const { return graph_; }

@@ -16,14 +16,20 @@ namespace dcn::ios {
 
 struct Group {
   std::vector<graph::OpId> ops;  // executed in order on one stream
+
+  bool operator==(const Group&) const = default;
 };
 
 struct Stage {
   std::vector<Group> groups;  // executed concurrently
+
+  bool operator==(const Stage&) const = default;
 };
 
 struct Schedule {
   std::vector<Stage> stages;
+
+  bool operator==(const Schedule&) const = default;
 
   std::size_t num_stages() const { return stages.size(); }
   std::size_t num_kernels() const;

@@ -7,6 +7,8 @@
 #include "core/parallel.hpp"
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/im2col.hpp"
+#include "tensor/qgemm.hpp"
 #include "tensor/workspace.hpp"
 
 namespace dcn {
@@ -19,17 +21,96 @@ namespace {
 // model"). run_compute_tasks only changes which thread executes a chunk.
 constexpr std::int64_t kGradChunks = 8;
 
-// Contiguous near-even partition of [0, batch) into `chunks` pieces.
-std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t batch,
-                                                  std::int64_t chunks,
-                                                  std::int64_t c) {
-  const std::int64_t base = batch / chunks;
-  const std::int64_t rem = batch % chunks;
-  const std::int64_t lo = c * base + std::min(c, rem);
-  return {lo, lo + base + (c < rem ? 1 : 0)};
+ConvGeometry square_geometry(std::int64_t channels, std::int64_t h,
+                             std::int64_t w, std::int64_t kernel,
+                             std::int64_t stride, std::int64_t padding) {
+  ConvGeometry g;
+  g.channels = channels;
+  g.height = h;
+  g.width = w;
+  g.kernel_h = g.kernel_w = kernel;
+  g.stride_h = g.stride_w = stride;
+  g.pad_h = g.pad_w = padding;
+  return g;
+}
+
+// The per-sample lowering both forwards share: checks `input` against the
+// weights' K = C * kernel^2, then for each sample writes its im2col columns
+// [K, OH*OW] to workspace and calls gemm(ws, col, OH*OW, out) with the
+// sample's output slice [out_channels, OH*OW].
+template <typename Gemm>
+Tensor lower_conv(const Tensor& input, std::int64_t out_channels,
+                  std::int64_t k, std::int64_t kernel, std::int64_t stride,
+                  std::int64_t padding, const Gemm& gemm) {
+  DCN_CHECK(input.rank() == 4) << "conv2d expects NCHW, got "
+                               << input.shape().to_string();
+  DCN_CHECK(kernel > 0 && stride > 0 && padding >= 0) << "conv geometry";
+  DCN_CHECK(input.dim(1) * kernel * kernel == k)
+      << "conv2d input channels " << input.dim(1) << " do not match weights "
+      << "with K = " << k << " at kernel " << kernel;
+  const ConvGeometry g = square_geometry(input.dim(1), input.dim(2),
+                                         input.dim(3), kernel, stride,
+                                         padding);
+  DCN_CHECK(g.out_h() > 0 && g.out_w() > 0)
+      << "conv2d output would be empty for input "
+      << input.shape().to_string();
+  const std::int64_t ohw = g.out_h() * g.out_w();
+  Tensor output(Shape{input.dim(0), out_channels, g.out_h(), g.out_w()});
+  const std::int64_t in_stride = g.channels * g.height * g.width;
+  const std::int64_t out_stride = out_channels * ohw;
+  // Samples are independent (disjoint output) — contiguous sample ranges
+  // spread over the pool. A single sample instead parallelizes inside the
+  // GEMM.
+  for_each_sample(input.dim(0), [&](std::int64_t n) {
+    Workspace& ws = Workspace::tls();
+    Workspace::Scope scope(ws);
+    float* col = ws.floats(static_cast<std::size_t>(k * ohw));
+    im2col(input.data() + n * in_stride, g, col);
+    gemm(ws, col, ohw, output.data() + n * out_stride);
+  });
+  return output;
 }
 
 }  // namespace
+
+Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
+                      const float* bias, std::int64_t stride,
+                      std::int64_t padding, bool relu) {
+  DCN_CHECK(weight.rank() == 4 && weight.dim(0) > 0 &&
+            weight.dim(2) == weight.dim(3))
+      << "conv2d weight must be [out_c, in_c, k, k], got "
+      << weight.shape().to_string();
+  const std::int64_t out_channels = weight.dim(0);
+  const std::int64_t k = weight.numel() / out_channels;
+  GemmEpilogue epilogue;
+  epilogue.row_bias = bias;
+  epilogue.relu = relu;
+  return lower_conv(
+      input, out_channels, k, weight.dim(2), stride, padding,
+      [&](Workspace&, const float* col, std::int64_t ohw, float* out) {
+        // out[oc, ohw] = weight[oc, k] * col[k, ohw] + bias[oc]
+        sgemm_ex(false, false, out_channels, ohw, k, 1.0f, weight.data(), k,
+                 col, ohw, 0.0f, out, ohw, epilogue);
+      });
+}
+
+Tensor conv2d_forward_int8(const Tensor& input,
+                           const QuantizedWeights& weights, const float* bias,
+                           const QuantParams& input_params,
+                           std::int64_t kernel, std::int64_t stride,
+                           std::int64_t padding, bool relu) {
+  QuantEpilogue epilogue;
+  epilogue.row_bias = bias;
+  epilogue.relu = relu;
+  return lower_conv(
+      input, weights.rows, weights.cols, kernel, stride, padding,
+      [&](Workspace& ws, const float* col, std::int64_t ohw, float* out) {
+        const std::int64_t n = weights.cols * ohw;
+        std::uint8_t* qcol = ws.bytes(static_cast<std::size_t>(n));
+        quantize_u8(col, n, input_params, qcol);
+        qgemm(weights, qcol, ohw, ohw, input_params, out, ohw, epilogue);
+      });
+}
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel_size, std::int64_t stride,
@@ -54,20 +135,10 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
     : Conv2d(in_channels, out_channels, kernel_size, stride, kernel_size / 2,
              rng) {}
 
-ConvGeometry Conv2d::geometry(std::int64_t h, std::int64_t w) const {
-  ConvGeometry g;
-  g.channels = in_channels_;
-  g.height = h;
-  g.width = w;
-  g.kernel_h = g.kernel_w = kernel_size_;
-  g.stride_h = g.stride_w = stride_;
-  g.pad_h = g.pad_w = padding_;
-  return g;
-}
-
 std::pair<std::int64_t, std::int64_t> Conv2d::output_hw(std::int64_t h,
                                                         std::int64_t w) const {
-  const ConvGeometry g = geometry(h, w);
+  const ConvGeometry g =
+      square_geometry(in_channels_, h, w, kernel_size_, stride_, padding_);
   return {g.out_h(), g.out_w()};
 }
 
@@ -76,46 +147,8 @@ Tensor Conv2d::forward(const Tensor& input) {
                                << input.shape().to_string();
   DCN_CHECK(input.dim(1) == in_channels_)
       << "Conv2d channels " << input.dim(1) << " != " << in_channels_;
-  const std::int64_t batch = input.dim(0);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  const ConvGeometry g = geometry(h, w);
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  DCN_CHECK(oh > 0 && ow > 0) << "Conv2d output would be empty for input "
-                              << input.shape().to_string();
-  const std::int64_t k = in_channels_ * kernel_size_ * kernel_size_;
-  const std::int64_t ohw = oh * ow;
-
-  Tensor output(Shape{batch, out_channels_, oh, ow});
-  const std::int64_t in_stride = in_channels_ * h * w;
-  const std::int64_t out_stride = out_channels_ * ohw;
-  // The per-channel bias rides the GEMM's fused epilogue instead of a
-  // separate sweep over the output.
-  GemmEpilogue epilogue;
-  epilogue.row_bias = bias_.data();
-  const auto run_sample = [&](std::int64_t n) {
-    Workspace& ws = Workspace::tls();
-    Workspace::Scope scope(ws);
-    float* col = ws.floats(static_cast<std::size_t>(k * ohw));
-    im2col(input.data() + n * in_stride, g, col);
-    // output[oc, ohw] = weight[oc, k] * col[k, ohw] + bias[oc]
-    sgemm_ex(false, false, out_channels_, ohw, k, 1.0f, weight_.data(), k,
-             col, ohw, 0.0f, output.data() + n * out_stride, ohw, epilogue);
-  };
-  // Samples are independent (disjoint output) — distribute contiguous
-  // sample ranges over the pool. A single sample instead parallelizes
-  // inside the GEMM.
-  const int tasks = static_cast<int>(
-      std::min<std::int64_t>(compute_threads(), batch));
-  if (tasks <= 1) {
-    for (std::int64_t n = 0; n < batch; ++n) run_sample(n);
-  } else {
-    run_compute_tasks(tasks, [&](int t) {
-      const auto [lo, hi] = chunk_range(batch, tasks, t);
-      for (std::int64_t n = lo; n < hi; ++n) run_sample(n);
-    });
-  }
+  Tensor output = conv2d_forward(input, weight_, bias_.data(), stride_,
+                                 padding_, /*relu=*/false);
   cached_input_ = input;
   has_cached_input_ = true;
   return output;
@@ -127,7 +160,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::int64_t batch = input.dim(0);
   const std::int64_t h = input.dim(2);
   const std::int64_t w = input.dim(3);
-  const ConvGeometry g = geometry(h, w);
+  const ConvGeometry g =
+      square_geometry(in_channels_, h, w, kernel_size_, stride_, padding_);
   const std::int64_t oh = g.out_h();
   const std::int64_t ow = g.out_w();
   const std::int64_t ohw = oh * ow;

@@ -1,12 +1,34 @@
-// 2-D convolution layer (NCHW), lowered onto im2col + GEMM.
+// 2-D convolution (NCHW), lowered onto im2col + GEMM: the layer module and
+// the one fp32 and one int8 forward that every inference path runs.
 #pragma once
 
 #include "nn/module.hpp"
-#include "tensor/im2col.hpp"
+#include "tensor/quantize.hpp"
 
 namespace dcn {
 
 class Rng;
+
+/// The fp32 convolution: `input` [N, C, H, W] through `weight`
+/// [out_c, C, k, k] at `stride` and `padding`, plus `bias` [out_c] and, when
+/// `relu`, a ReLU; returns [N, out_c, OH, OW]. Each sample lowers to im2col +
+/// sgemm_ex with bias and ReLU fused into the GEMM's epilogue, and samples
+/// spread over the compute pool (for_each_sample), so the output is
+/// bit-identical at any thread count.
+Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
+                      const float* bias, std::int64_t stride,
+                      std::int64_t padding, bool relu);
+
+/// The int8 convolution: the same lowering with each sample's float columns
+/// quantized by `input_params` (padding taps are exact 0.0f, which lands on
+/// the integer zero point) and multiplied by qgemm against the symmetric
+/// int8 `weights` [out_c, C*kernel*kernel]; dequantize, `bias` and ReLU are
+/// fused into the store.
+Tensor conv2d_forward_int8(const Tensor& input,
+                           const QuantizedWeights& weights, const float* bias,
+                           const QuantParams& input_params,
+                           std::int64_t kernel, std::int64_t stride,
+                           std::int64_t padding, bool relu);
 
 /// Convolution over NCHW inputs. Matches the paper's C_{filters,size,stride}
 /// notation; padding defaults to "same-ish" (kernel/2) like the reference
@@ -40,8 +62,6 @@ class Conv2d : public Module {
   Tensor& bias() { return bias_; }
 
  private:
-  ConvGeometry geometry(std::int64_t h, std::int64_t w) const;
-
   std::int64_t in_channels_;
   std::int64_t out_channels_;
   std::int64_t kernel_size_;

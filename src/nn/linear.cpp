@@ -3,8 +3,62 @@
 #include "core/error.hpp"
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/qgemm.hpp"
+#include "tensor/workspace.hpp"
 
 namespace dcn {
+
+Tensor linear_forward(const Tensor& input, const Tensor& weight,
+                      const float* bias, bool relu) {
+  DCN_CHECK(input.rank() == 2 && weight.rank() == 2 &&
+            input.dim(1) == weight.dim(1))
+      << "linear_forward: input " << input.shape().to_string()
+      << " does not match weight " << weight.shape().to_string();
+  const std::int64_t batch = input.dim(0);
+  const std::int64_t out_features = weight.dim(0);
+  const std::int64_t in_features = weight.dim(1);
+  Tensor output(Shape{batch, out_features});
+  GemmEpilogue epilogue;
+  epilogue.col_bias = bias;
+  epilogue.relu = relu;
+  sgemm_ex(false, true, batch, out_features, in_features, 1.0f, input.data(),
+           in_features, weight.data(), in_features, 0.0f, output.data(),
+           out_features, epilogue);
+  return output;
+}
+
+Tensor linear_forward_int8(const Tensor& input,
+                           const QuantizedWeights& weights, const float* bias,
+                           const QuantParams& input_params, bool relu) {
+  DCN_CHECK(input.rank() == 2 && input.dim(1) == weights.cols)
+      << "linear_forward_int8: input " << input.shape().to_string()
+      << " does not match " << weights.cols << " weight columns";
+  const std::int64_t n = input.dim(0);
+  const std::int64_t features = weights.cols;
+  const std::int64_t out = weights.rows;
+  Tensor output(Shape{n, out});
+  Workspace& ws = Workspace::tls();
+  Workspace::Scope scope(ws);
+  std::uint8_t* qx = ws.bytes(static_cast<std::size_t>(n * features));
+  quantize_u8(input.data(), n * features, input_params, qx);
+  std::uint8_t* qxt = ws.bytes(static_cast<std::size_t>(features * n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < features; ++j) {
+      qxt[j * n + i] = qx[i * features + j];
+    }
+  }
+  float* yt = ws.floats(static_cast<std::size_t>(out * n));
+  QuantEpilogue epilogue;
+  epilogue.row_bias = bias;
+  epilogue.relu = relu;
+  qgemm(weights, qxt, n, n, input_params, yt, n, epilogue);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t o = 0; o < out; ++o) {
+      output.data()[i * out + o] = yt[o * n + i];
+    }
+  }
+  return output;
+}
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
     : in_features_(in_features),
@@ -23,15 +77,8 @@ Tensor Linear::forward(const Tensor& input) {
                                << input.shape().to_string();
   DCN_CHECK(input.dim(1) == in_features_)
       << "Linear in_features " << input.dim(1) << " != " << in_features_;
-  const std::int64_t batch = input.dim(0);
-  Tensor output(Shape{batch, out_features_});
-  // y[N, out] = x[N, in] * W[out, in]^T + b, the per-feature bias fused
-  // into the GEMM's epilogue instead of a second sweep over the output.
-  GemmEpilogue epilogue;
-  epilogue.col_bias = bias_.data();
-  sgemm_ex(false, true, batch, out_features_, in_features_, 1.0f,
-           input.data(), in_features_, weight_.data(), in_features_, 0.0f,
-           output.data(), out_features_, epilogue);
+  Tensor output =
+      linear_forward(input, weight_, bias_.data(), /*relu=*/false);
   cached_input_ = input;
   has_cached_input_ = true;
   return output;

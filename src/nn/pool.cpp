@@ -1,10 +1,107 @@
 #include "nn/pool.hpp"
 
 #include <limits>
+#include <utility>
 
 #include "core/error.hpp"
 
 namespace dcn {
+namespace {
+
+// The one max-pool loop: output cell (oy, ox) of every [N, C] plane is the
+// max over input rows rows(oy) x columns cols(ox), each a half-open
+// [start, end) range. Ties keep the first maximum in row-major order.
+template <typename RowWindow, typename ColWindow>
+Tensor pool_windows(const Tensor& input, std::int64_t oh, std::int64_t ow,
+                    const RowWindow& rows, const ColWindow& cols,
+                    std::vector<std::int64_t>* argmax) {
+  const std::int64_t planes = input.dim(0) * input.dim(1);
+  const std::int64_t h = input.dim(2);
+  const std::int64_t w = input.dim(3);
+  Tensor output(Shape{input.dim(0), input.dim(1), oh, ow});
+  std::int64_t* best_at = nullptr;
+  if (argmax != nullptr) {
+    argmax->assign(static_cast<std::size_t>(output.numel()), 0);
+    best_at = argmax->data();
+  }
+  float* out = output.data();
+  for (std::int64_t p = 0; p < planes; ++p) {
+    const std::int64_t plane_base = p * h * w;
+    const float* plane = input.data() + plane_base;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      const auto [y0, y1] = rows(oy);
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const auto [x0, x1] = cols(ox);
+        float best = -std::numeric_limits<float>::infinity();
+        std::int64_t best_idx = y0 * w + x0;
+        for (std::int64_t iy = y0; iy < y1; ++iy) {
+          for (std::int64_t ix = x0; ix < x1; ++ix) {
+            const float v = plane[iy * w + ix];
+            if (v > best) {
+              best = v;
+              best_idx = iy * w + ix;
+            }
+          }
+        }
+        *out++ = best;
+        if (best_at != nullptr) *best_at++ = plane_base + best_idx;
+      }
+    }
+  }
+  return output;
+}
+
+Tensor scatter_by_argmax(const Shape& input_shape,
+                         const std::vector<std::int64_t>& argmax,
+                         const Tensor& grad_output, const char* layer) {
+  DCN_CHECK(!argmax.empty()) << layer << "::backward without forward";
+  DCN_CHECK(grad_output.numel() == static_cast<std::int64_t>(argmax.size()))
+      << layer << " grad numel mismatch";
+  Tensor grad_input(input_shape);
+  const std::int64_t n = grad_output.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    grad_input[argmax[static_cast<std::size_t>(i)]] += grad_output[i];
+  }
+  return grad_input;
+}
+
+}  // namespace
+
+Tensor max_pool2d(const Tensor& input, std::int64_t kernel,
+                  std::int64_t stride, std::vector<std::int64_t>* argmax) {
+  DCN_CHECK(input.rank() == 4) << "max_pool2d expects NCHW, got "
+                               << input.shape().to_string();
+  DCN_CHECK(kernel > 0 && stride > 0) << "pool geometry";
+  // Checked before the division: it truncates toward zero, so a plane
+  // smaller than the window would otherwise claim one output that reads
+  // past the plane.
+  DCN_CHECK(input.dim(2) >= kernel && input.dim(3) >= kernel)
+      << "max_pool2d output empty for " << input.shape().to_string();
+  const std::int64_t oh = (input.dim(2) - kernel) / stride + 1;
+  const std::int64_t ow = (input.dim(3) - kernel) / stride + 1;
+  const auto window = [kernel, stride](std::int64_t o) {
+    return std::pair{o * stride, o * stride + kernel};
+  };
+  return pool_windows(input, oh, ow, window, window, argmax);
+}
+
+Tensor adaptive_max_pool2d(const Tensor& input, std::int64_t out_h,
+                           std::int64_t out_w,
+                           std::vector<std::int64_t>* argmax) {
+  DCN_CHECK(input.rank() == 4) << "adaptive_max_pool2d expects NCHW, got "
+                               << input.shape().to_string();
+  const std::int64_t h = input.dim(2);
+  const std::int64_t w = input.dim(3);
+  DCN_CHECK(h >= 1 && w >= 1) << "empty input plane";
+  DCN_CHECK(out_h > 0 && out_w > 0) << "adaptive pool output size";
+  const auto bins = [](std::int64_t in, std::int64_t out) {
+    return [in, out](std::int64_t i) {
+      return std::pair{(i * in) / out, ((i + 1) * in + out - 1) / out};
+    };
+  };
+  return pool_windows(input, out_h, out_w, bins(h, out_h), bins(w, out_w),
+                      argmax);
+}
 
 MaxPool2d::MaxPool2d(std::int64_t kernel_size, std::int64_t stride)
     : kernel_size_(kernel_size), stride_(stride) {
@@ -12,60 +109,13 @@ MaxPool2d::MaxPool2d(std::int64_t kernel_size, std::int64_t stride)
 }
 
 Tensor MaxPool2d::forward(const Tensor& input) {
-  DCN_CHECK(input.rank() == 4) << "MaxPool2d expects NCHW";
-  const std::int64_t batch = input.dim(0);
-  const std::int64_t channels = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  const std::int64_t oh = (h - kernel_size_) / stride_ + 1;
-  const std::int64_t ow = (w - kernel_size_) / stride_ + 1;
-  DCN_CHECK(oh > 0 && ow > 0)
-      << "MaxPool2d output empty for " << input.shape().to_string();
-
-  Tensor output(Shape{batch, channels, oh, ow});
-  argmax_.assign(static_cast<std::size_t>(output.numel()), 0);
+  Tensor output = max_pool2d(input, kernel_size_, stride_, &argmax_);
   input_shape_ = input.shape();
-
-  std::int64_t out_idx = 0;
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float* plane = input.data() + (n * channels + c) * h * w;
-      const std::int64_t plane_base = (n * channels + c) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++out_idx) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
-          for (std::int64_t ky = 0; ky < kernel_size_; ++ky) {
-            const std::int64_t iy = oy * stride_ + ky;
-            for (std::int64_t kx = 0; kx < kernel_size_; ++kx) {
-              const std::int64_t ix = ox * stride_ + kx;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + iy * w + ix;
-              }
-            }
-          }
-          output[out_idx] = best;
-          argmax_[static_cast<std::size_t>(out_idx)] = best_idx;
-        }
-      }
-    }
-  }
   return output;
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  DCN_CHECK(!argmax_.empty()) << "MaxPool2d::backward without forward";
-  DCN_CHECK(grad_output.numel() ==
-            static_cast<std::int64_t>(argmax_.size()))
-      << "MaxPool2d grad numel mismatch";
-  Tensor grad_input(input_shape_);
-  const std::int64_t n = grad_output.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    grad_input[argmax_[static_cast<std::size_t>(i)]] += grad_output[i];
-  }
-  return grad_input;
+  return scatter_by_argmax(input_shape_, argmax_, grad_output, "MaxPool2d");
 }
 
 AdaptiveMaxPool2d::AdaptiveMaxPool2d(std::int64_t out_h, std::int64_t out_w)
@@ -74,66 +124,14 @@ AdaptiveMaxPool2d::AdaptiveMaxPool2d(std::int64_t out_h, std::int64_t out_w)
 }
 
 Tensor AdaptiveMaxPool2d::forward(const Tensor& input) {
-  DCN_CHECK(input.rank() == 4) << "AdaptiveMaxPool2d expects NCHW";
-  const std::int64_t batch = input.dim(0);
-  const std::int64_t channels = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  DCN_CHECK(h >= 1 && w >= 1) << "empty input plane";
-
-  Tensor output(Shape{batch, channels, out_h_, out_w_});
-  argmax_.assign(static_cast<std::size_t>(output.numel()), 0);
+  Tensor output = adaptive_max_pool2d(input, out_h_, out_w_, &argmax_);
   input_shape_ = input.shape();
-
-  auto bin_start = [](std::int64_t i, std::int64_t in, std::int64_t out) {
-    return (i * in) / out;
-  };
-  auto bin_end = [](std::int64_t i, std::int64_t in, std::int64_t out) {
-    return ((i + 1) * in + out - 1) / out;
-  };
-
-  std::int64_t out_idx = 0;
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float* plane = input.data() + (n * channels + c) * h * w;
-      const std::int64_t plane_base = (n * channels + c) * h * w;
-      for (std::int64_t oy = 0; oy < out_h_; ++oy) {
-        const std::int64_t y0 = bin_start(oy, h, out_h_);
-        const std::int64_t y1 = bin_end(oy, h, out_h_);
-        for (std::int64_t ox = 0; ox < out_w_; ++ox, ++out_idx) {
-          const std::int64_t x0 = bin_start(ox, w, out_w_);
-          const std::int64_t x1 = bin_end(ox, w, out_w_);
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = plane_base + y0 * w + x0;
-          for (std::int64_t iy = y0; iy < y1; ++iy) {
-            for (std::int64_t ix = x0; ix < x1; ++ix) {
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + iy * w + ix;
-              }
-            }
-          }
-          output[out_idx] = best;
-          argmax_[static_cast<std::size_t>(out_idx)] = best_idx;
-        }
-      }
-    }
-  }
   return output;
 }
 
 Tensor AdaptiveMaxPool2d::backward(const Tensor& grad_output) {
-  DCN_CHECK(!argmax_.empty()) << "AdaptiveMaxPool2d::backward without forward";
-  DCN_CHECK(grad_output.numel() ==
-            static_cast<std::int64_t>(argmax_.size()))
-      << "AdaptiveMaxPool2d grad numel mismatch";
-  Tensor grad_input(input_shape_);
-  const std::int64_t n = grad_output.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    grad_input[argmax_[static_cast<std::size_t>(i)]] += grad_output[i];
-  }
-  return grad_input;
+  return scatter_by_argmax(input_shape_, argmax_, grad_output,
+                           "AdaptiveMaxPool2d");
 }
 
 }  // namespace dcn

@@ -1,6 +1,7 @@
-// Max pooling layers (fixed-window and adaptive).
+// Max pooling (fixed-window and adaptive): the layer modules and the one
+// forward of each that every inference path runs.
 //
-// AdaptiveMaxPool2d uses PyTorch's bin convention
+// Adaptive pooling uses PyTorch's bin convention
 // (start = floor(i*H/out), end = ceil((i+1)*H/out)) so the SPP layer's
 // fixed-size output is produced for any input spatial size — the property
 // the paper relies on for variable-sized orthophoto patches.
@@ -11,6 +12,20 @@
 #include "nn/module.hpp"
 
 namespace dcn {
+
+/// Max over square `kernel` windows at `stride`, no padding:
+/// [N, C, H, W] -> [N, C, (H-k)/s+1, (W-k)/s+1]. When `argmax` is set it is
+/// resized to the output's size and receives each output's flat input index,
+/// which backward routes the gradient through; inference passes none.
+Tensor max_pool2d(const Tensor& input, std::int64_t kernel,
+                  std::int64_t stride,
+                  std::vector<std::int64_t>* argmax = nullptr);
+
+/// Max over the bins of an out_h x out_w grid: [N, C, H, W] ->
+/// [N, C, out_h, out_w]; `argmax` as for max_pool2d.
+Tensor adaptive_max_pool2d(const Tensor& input, std::int64_t out_h,
+                           std::int64_t out_w,
+                           std::vector<std::int64_t>* argmax = nullptr);
 
 /// MaxPool2d with square kernel and stride (paper's P_{size,stride}).
 class MaxPool2d : public Module {

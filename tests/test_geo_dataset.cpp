@@ -1,13 +1,17 @@
-// Tests for roads, crossings, rendering, patches, and dataset assembly.
+// Tests for roads, crossings, rendering, patches, rot90 augmentation,
+// georeferenced tiling, and dataset assembly.
 #include "geo/dataset.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "geo/patch.hpp"
+#include "geo/tiling.hpp"
 
 namespace dcn::geo {
 namespace {
@@ -265,6 +269,112 @@ TEST(Dataset, CulvertContrastControlsSignature) {
                                                 wh.crossings[i].col + 3);
   }
   EXPECT_GT(bright_easy, bright_hard);
+}
+
+TEST(GeoTransform, RoundTripsCoordinates) {
+  geo::GeoTransform t;
+  t.origin_x = 500000.0;
+  t.origin_y = 4480000.0;
+  t.pixel_size = 1.0;
+  const auto [x, y] = t.pixel_to_world(10, 20);
+  EXPECT_DOUBLE_EQ(x, 500020.5);
+  EXPECT_DOUBLE_EQ(y, 4480000.0 - 10.5);
+  const auto [row, col] = t.world_to_pixel(x, y);
+  EXPECT_NEAR(row, 10.0, 1e-9);
+  EXPECT_NEAR(col, 20.0, 1e-9);
+}
+
+TEST(Tiling, CoversSceneWithoutGaps) {
+  geo::GeoTransform t;
+  const auto tiles = geo::make_tiles(256, 300, 100, 0.5, t);
+  ASSERT_FALSE(tiles.empty());
+  // Every pixel covered by at least one tile.
+  std::vector<bool> row_covered(256, false);
+  std::vector<bool> col_covered(300, false);
+  for (const geo::Tile& tile : tiles) {
+    EXPECT_GE(tile.row, 0);
+    EXPECT_LE(tile.row + tile.size, 256);
+    EXPECT_LE(tile.col + tile.size, 300);
+    for (std::int64_t r = tile.row; r < tile.row + tile.size; ++r) {
+      row_covered[static_cast<std::size_t>(r)] = true;
+    }
+    for (std::int64_t c = tile.col; c < tile.col + tile.size; ++c) {
+      col_covered[static_cast<std::size_t>(c)] = true;
+    }
+  }
+  EXPECT_TRUE(std::all_of(row_covered.begin(), row_covered.end(),
+                          [](bool b) { return b; }));
+  EXPECT_TRUE(std::all_of(col_covered.begin(), col_covered.end(),
+                          [](bool b) { return b; }));
+}
+
+TEST(Tiling, RejectsOversizedTiles) {
+  geo::GeoTransform t;
+  EXPECT_THROW(geo::make_tiles(64, 64, 100, 0.0, t), Error);
+}
+
+TEST(Tiling, DetectionGeoreferencing) {
+  geo::GeoTransform t;
+  t.pixel_size = 1.0;
+  geo::Tile tile;
+  tile.row = 100;
+  tile.col = 200;
+  tile.size = 50;
+  const float box[4] = {0.5f, 0.5f, 0.2f, 0.2f};  // tile center
+  const auto [x, y] = geo::detection_to_world(tile, box, t);
+  const auto [cx, cy] = t.pixel_to_world(125 - 0.5, 225 - 0.5);
+  EXPECT_NEAR(x, cx, 1e-9);
+  EXPECT_NEAR(y, cy, 1e-9);
+}
+
+geo::PatchSample checker_sample() {
+  geo::PatchSample sample;
+  sample.label = 1.0f;
+  sample.image = Tensor(Shape{4, 6, 6});
+  Rng rng(3);
+  sample.image.fill_uniform(rng, 0.0f, 1.0f);
+  sample.box = {0.25f, 0.6f, 0.2f, 0.3f};
+  return sample;
+}
+
+TEST(Rotate90, FourRotationsAreIdentity) {
+  const geo::PatchSample original = checker_sample();
+  geo::PatchSample rotated = original;
+  for (int i = 0; i < 4; ++i) rotated = geo::rotate90(rotated);
+  for (std::int64_t i = 0; i < original.image.numel(); ++i) {
+    ASSERT_EQ(rotated.image[i], original.image[i]) << "pixel " << i;
+  }
+  EXPECT_NEAR(rotated.box[0], original.box[0], 1e-6f);
+  EXPECT_NEAR(rotated.box[1], original.box[1], 1e-6f);
+  EXPECT_EQ(rotated.box[2], original.box[2]);
+}
+
+TEST(Rotate90, BoxFollowsPixels) {
+  // Put a hot pixel at the box center and verify it lands at the rotated
+  // box center.
+  geo::PatchSample sample;
+  sample.label = 1.0f;
+  sample.image = Tensor(Shape{4, 8, 8}, 0.0f);
+  sample.box = {2.5f / 8, 5.5f / 8, 0.25f, 0.25f};  // center pixel (5, 2)
+  sample.image.at({0, 5, 2}) = 9.0f;
+  const geo::PatchSample rotated = geo::rotate90(sample);
+  const auto rx = static_cast<std::int64_t>(rotated.box[0] * 8);
+  const auto ry = static_cast<std::int64_t>(rotated.box[1] * 8);
+  EXPECT_EQ(rotated.image.at({0, ry, rx}), 9.0f);
+}
+
+TEST(Rotate90, SwapsBoxExtents) {
+  geo::PatchSample sample = checker_sample();
+  sample.box = {0.5f, 0.5f, 0.1f, 0.3f};
+  const geo::PatchSample rotated = geo::rotate90(sample);
+  EXPECT_EQ(rotated.box[2], 0.3f);
+  EXPECT_EQ(rotated.box[3], 0.1f);
+}
+
+TEST(Rotate90, RejectsNonSquare) {
+  geo::PatchSample sample;
+  sample.image = Tensor(Shape{4, 6, 8});
+  EXPECT_THROW(geo::rotate90(sample), Error);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Tests for the inference-graph IR, builder, and block extraction.
+// Tests for the inference-graph IR, builder, shape validation, and block
+// extraction.
 #include "graph/graph.hpp"
 
 #include <gtest/gtest.h>
@@ -222,6 +223,51 @@ TEST(Blocks, PureChainIsOneLinearBlock) {
   ASSERT_EQ(blocks.size(), 1u);
   EXPECT_FALSE(blocks[0].branched);
   EXPECT_EQ(blocks[0].ops.size(), 5u);
+}
+
+TEST(ValidateShapes, AcceptsBuilderGraphs) {
+  for (const auto& config : detect::table1_models()) {
+    const auto g = graph::build_inference_graph(config, 100);
+    EXPECT_NO_THROW(graph::validate_shapes(g)) << config.name;
+  }
+}
+
+TEST(ValidateShapes, CatchesBadConvArithmetic) {
+  graph::Graph g;
+  const auto in = g.add_op(graph::OpKind::kInput, "in", {}, {},
+                           graph::TensorDesc{{3, 10, 10}});
+  graph::OpAttrs conv;
+  conv.kernel = 3;
+  conv.stride = 1;
+  conv.padding = 1;
+  conv.out_channels = 8;
+  g.add_op(graph::OpKind::kConv2d, "conv", conv, {in},
+           graph::TensorDesc{{8, 9, 9}});  // wrong: same padding keeps 10
+  EXPECT_THROW(graph::validate_shapes(g), Error);
+}
+
+TEST(ValidateShapes, CatchesConcatMiscount) {
+  graph::Graph g;
+  const auto in = g.add_op(graph::OpKind::kInput, "in", {}, {},
+                           graph::TensorDesc{{16}});
+  const auto a = g.add_op(graph::OpKind::kFlatten, "a", {}, {in},
+                          graph::TensorDesc{{16}});
+  const auto b = g.add_op(graph::OpKind::kFlatten, "b", {}, {in},
+                          graph::TensorDesc{{16}});
+  g.add_op(graph::OpKind::kConcat, "cat", {}, {a, b},
+           graph::TensorDesc{{30}});  // wrong: should be 32
+  EXPECT_THROW(graph::validate_shapes(g), Error);
+}
+
+TEST(ValidateShapes, CatchesLinearWidthMismatch) {
+  graph::Graph g;
+  const auto in = g.add_op(graph::OpKind::kInput, "in", {}, {},
+                           graph::TensorDesc{{16}});
+  graph::OpAttrs fc;
+  fc.out_features = 8;
+  g.add_op(graph::OpKind::kLinear, "fc", fc, {in},
+           graph::TensorDesc{{9}});  // wrong
+  EXPECT_THROW(graph::validate_shapes(g), Error);
 }
 
 }  // namespace

@@ -23,6 +23,8 @@
 #include "ios/executor.hpp"
 #include "ios/schedule.hpp"
 #include "ios/scheduler.hpp"
+#include "nas/search_space.hpp"
+#include "scan/screener.hpp"
 #include "simgpu/device.hpp"
 #include "simgpu/spec.hpp"
 
@@ -232,32 +234,50 @@ TEST(Numerics, FusedVsUnfusedBitIdenticalInt8AcrossThreadCounts) {
   }
 }
 
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.numel())) ==
+             0;
+}
+
+// The executor, the module stack and QuantizedSppNet compute every layer
+// through the same nn/ forward functions, so the naive and the optimized
+// graph both reproduce SppNet::forward (fp32) and QuantizedSppNet::forward
+// (int8) bit for bit. Batch 9 splits unevenly over 4 threads
+// (for_each_sample's partition); the cascade screener adds a stride-2 stem.
 TEST(Numerics, ExecutorMatchesTheRealModels) {
-  Rng rng(23);
-  detect::SppNet net(detect::original_sppnet(), rng);
-  net.set_training(false);
-  const WeightMap weights = extract_weights(net);
-  const Graph naive = build_inference_graph(detect::original_sppnet(), kInput);
-  NumericExecutor executor(naive, weights);
-  const Tensor x = random_batch(2, 4, kInput, 29);
-
-  // fp32: the executor walks the same layers the module stack runs.
-  const Tensor expected = net.forward(x);
-  const Tensor got = executor.forward(x);
-  ASSERT_EQ(got.numel(), expected.numel());
-  for (std::int64_t i = 0; i < got.numel(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "fp32 element " << i;
-  }
-
-  // int8: same calibration batch -> same quantized deployment.
-  const Tensor calibration = random_batch(4, 4, kInput, 31);
-  detect::QuantizedSppNet quantized(net, calibration);
-  executor.quantize(calibration);
-  const Tensor q_expected = quantized.forward(x);
-  const Tensor q_got = executor.forward_int8(x);
-  ASSERT_EQ(q_got.numel(), q_expected.numel());
-  for (std::int64_t i = 0; i < q_got.numel(); ++i) {
-    EXPECT_EQ(q_got[i], q_expected[i]) << "int8 element " << i;
+  constexpr std::int64_t kSize = 48;
+  nas::SearchPoint point;
+  point.conv1_kernel = 3;
+  point.spp_first_level = 2;
+  point.fc_sizes = {64};
+  const detect::SppNetConfig screener = scan::materialize_screener(point);
+  ASSERT_EQ(screener.trunk.front().conv.stride, 2);
+  for (const detect::SppNetConfig& config :
+       {detect::original_sppnet(), screener}) {
+    Rng rng(23);
+    detect::SppNet net(config, rng);
+    net.set_training(false);
+    const Tensor x = random_batch(9, 4, kSize, 29);
+    const Tensor calibration = random_batch(4, 4, kSize, 31);
+    detect::QuantizedSppNet quantized(net, calibration);
+    const Graph naive = build_inference_graph(config, kSize);
+    for (const Graph& g : {naive, optimize_graph(naive)}) {
+      NumericExecutor executor(g, extract_weights(net));
+      executor.quantize(calibration);
+      ThreadGuard guard;
+      for (const int threads : {1, 4}) {
+        set_num_threads(threads);
+        EXPECT_TRUE(bitwise_equal(executor.forward(x), net.forward(x)))
+            << config.name << " fp32, " << g.size() << " nodes, threads="
+            << threads;
+        EXPECT_TRUE(
+            bitwise_equal(executor.forward_int8(x), quantized.forward(x)))
+            << config.name << " int8, " << g.size() << " nodes, threads="
+            << threads;
+      }
+    }
   }
 }
 

@@ -1,13 +1,20 @@
-// Tests for the IOS scheduler: schedule validity, DP optimality, executor.
+// Tests for the IOS scheduler: schedule validity, DP optimality, executor,
+// Gantt rendering, and the HIOS-lite multi-GPU latency models.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "core/error.hpp"
 #include "detect/sppnet_config.hpp"
 #include "graph/builder.hpp"
 #include "ios/executor.hpp"
+#include "ios/gantt.hpp"
+#include "ios/hios_lite.hpp"
 #include "ios/schedule.hpp"
 #include "ios/scheduler.hpp"
 #include "simgpu/device.hpp"
+#include "simgpu/spec.hpp"
 
 namespace dcn::ios {
 namespace {
@@ -321,6 +328,113 @@ TEST(ScheduleCost, MatchesExecutorUpToTransfersAndSync) {
   // pure stage cost, but only by a bounded overhead.
   EXPECT_GT(measured, modeled);
   EXPECT_LT(measured, modeled + 500e-6);
+}
+
+class HiosLiteTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    graph_ = std::make_unique<graph::Graph>(
+        graph::build_inference_graph(detect::sppnet_candidate2(), 100));
+    spec_ = simgpu::a5500_spec();
+    schedule_ = ios::optimize_schedule(*graph_, spec_);
+  }
+  std::unique_ptr<graph::Graph> graph_;
+  simgpu::DeviceSpec spec_;
+  ios::Schedule schedule_;
+};
+
+TEST_F(HiosLiteTest, SingleGpuDataParallelMatchesBaseline) {
+  ios::MultiGpuConfig config;
+  config.num_gpus = 1;
+  simgpu::Device device(spec_);
+  const double single =
+      ios::measure_latency(*graph_, schedule_, device, 32);
+  const double dp =
+      ios::data_parallel_latency(*graph_, schedule_, spec_, 32, config);
+  EXPECT_NEAR(dp, single, 1e-9);
+}
+
+TEST_F(HiosLiteTest, DataParallelHelpsLargeBatches) {
+  ios::MultiGpuConfig config;
+  config.num_gpus = 4;
+  const double one_gpu = ios::data_parallel_latency(
+      *graph_, schedule_, spec_, 64, ios::MultiGpuConfig{.num_gpus = 1});
+  const double four_gpus =
+      ios::data_parallel_latency(*graph_, schedule_, spec_, 64, config);
+  EXPECT_LT(four_gpus, one_gpu);
+}
+
+TEST_F(HiosLiteTest, DataParallelHurtsBatchOne) {
+  // Sharding a single image is pure overhead.
+  ios::MultiGpuConfig config;
+  config.num_gpus = 4;
+  const double one_gpu = ios::data_parallel_latency(
+      *graph_, schedule_, spec_, 1, ios::MultiGpuConfig{.num_gpus = 1});
+  const double four_gpus =
+      ios::data_parallel_latency(*graph_, schedule_, spec_, 1, config);
+  EXPECT_GE(four_gpus, one_gpu);
+}
+
+TEST_F(HiosLiteTest, BranchParallelismDoesNotPayForSppBranches) {
+  // The HIOS premise, quantified: SPP's branches are far too small to
+  // amortize inter-GPU activation transfers.
+  ios::MultiGpuConfig config;
+  config.num_gpus = 2;
+  const double single =
+      ios::schedule_cost(*graph_, spec_, schedule_, 1) ;
+  const double multi = ios::branch_parallel_latency(*graph_, schedule_,
+                                                    spec_, 1, config);
+  EXPECT_GT(multi, single);
+}
+
+TEST_F(HiosLiteTest, BranchParallelSingleGpuMatchesScheduleCost) {
+  ios::MultiGpuConfig config;
+  config.num_gpus = 1;
+  const double cost = ios::schedule_cost(*graph_, spec_, schedule_, 8);
+  const double multi =
+      ios::branch_parallel_latency(*graph_, schedule_, spec_, 8, config);
+  EXPECT_NEAR(multi, cost, 1e-12);
+}
+
+TEST(Gantt, StructureMatchesSchedule) {
+  const auto g =
+      graph::build_inference_graph(detect::sppnet_candidate2(), 100);
+  const auto spec = simgpu::a5500_spec();
+  const ios::Schedule schedule = ios::optimize_schedule(g, spec);
+  const std::string gantt = ios::render_gantt(g, spec, schedule);
+  // One row per concurrent stream.
+  for (std::size_t s = 0; s < schedule.max_concurrency(); ++s) {
+    EXPECT_NE(gantt.find("stream " + std::to_string(s)),
+              std::string::npos);
+  }
+  // The large kernels' names appear (tiny kernels truncate to "[]").
+  EXPECT_NE(gantt.find("fc0"), std::string::npos);
+  EXPECT_NE(gantt.find("conv2"), std::string::npos);
+  // Stage separators: one '|' per stage per row.
+  const std::size_t bars =
+      static_cast<std::size_t>(std::count(gantt.begin(), gantt.end(), '|'));
+  EXPECT_EQ(bars, schedule.num_stages() * schedule.max_concurrency());
+}
+
+TEST(Gantt, SequentialScheduleIsSingleRow) {
+  const auto g =
+      graph::build_inference_graph(detect::original_sppnet(), 64);
+  const auto spec = simgpu::a5500_spec();
+  const std::string gantt =
+      ios::render_gantt(g, spec, ios::sequential_schedule(g));
+  EXPECT_NE(gantt.find("stream 0"), std::string::npos);
+  EXPECT_EQ(gantt.find("stream 1"), std::string::npos);
+}
+
+TEST(Gantt, RejectsSillyWidth) {
+  const auto g =
+      graph::build_inference_graph(detect::original_sppnet(), 64);
+  const auto spec = simgpu::a5500_spec();
+  ios::GanttOptions options;
+  options.width = 5;
+  EXPECT_THROW(
+      ios::render_gantt(g, spec, ios::sequential_schedule(g), options),
+      Error);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// Tests for NAS: search space, strategies, runner, constrained selection.
+// Tests for NAS: search space, strategies, runner, constrained and
+// latency-budget selection, experiment persistence.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "nas/experiment.hpp"
 #include "nas/runner.hpp"
 #include "nas/selection.hpp"
 #include "nas/strategy.hpp"
@@ -211,6 +213,122 @@ TEST(Selection, ParetoFrontExcludesDominated) {
   EXPECT_EQ(front[0].index, 0);  // sorted by descending AP
   EXPECT_EQ(front[1].index, 1);
   EXPECT_EQ(front[2].index, 2);
+}
+
+nas::SearchSpace evolution_space() {
+  nas::SearchSpace space;
+  space.conv1_kernels = {3, 5, 7};
+  space.spp_first_levels = {1, 3, 5};
+  space.fc_widths = {128, 512, 2048};
+  return space;
+}
+
+TEST(Evolution, WarmupThenMutation) {
+  nas::EvolutionStrategy::Options options;
+  options.population = 4;
+  options.tournament = 2;
+  nas::EvolutionStrategy strategy(evolution_space(), 3, options);
+  // Warm-up proposals, reported with a fitness that favors spp level 5.
+  std::vector<nas::SearchPoint> proposed;
+  for (int i = 0; i < 12; ++i) {
+    const auto point = strategy.next();
+    ASSERT_TRUE(point.has_value());
+    proposed.push_back(*point);
+    strategy.report(*point,
+                    0.5 + 0.1 * static_cast<double>(point->spp_first_level));
+  }
+  // Children after warm-up must differ from their parents on at most one
+  // axis (mutation changes exactly one axis).
+  for (std::size_t i = 4; i < proposed.size(); ++i) {
+    EXPECT_TRUE(evolution_space().contains(proposed[i]));
+  }
+  // Selection pressure: later proposals lean toward high spp levels.
+  double early = 0.0;
+  double late = 0.0;
+  for (int i = 0; i < 4; ++i) early += proposed[static_cast<std::size_t>(i)].spp_first_level;
+  for (int i = 8; i < 12; ++i) late += proposed[static_cast<std::size_t>(i)].spp_first_level;
+  EXPECT_GE(late, early * 0.8);  // no collapse toward low-fitness region
+}
+
+TEST(Evolution, DeterministicGivenSeed) {
+  nas::EvolutionStrategy a(evolution_space(), 7);
+  nas::EvolutionStrategy b(evolution_space(), 7);
+  for (int i = 0; i < 10; ++i) {
+    const auto pa = a.next();
+    const auto pb = b.next();
+    ASSERT_TRUE(pa && pb);
+    EXPECT_EQ(pa->to_string(), pb->to_string());
+    a.report(*pa, 0.5);
+    b.report(*pb, 0.5);
+  }
+}
+
+TEST(Selection, LatencyBudgetPicksMostAccurateUnderBudget) {
+  nas::TrialDatabase db;
+  const double ap[3] = {0.98, 0.95, 0.90};
+  const double lat[3] = {5e-4, 3e-4, 1e-4};
+  for (int i = 0; i < 3; ++i) {
+    nas::Trial t;
+    t.index = i;
+    t.point.fc_sizes = {128};
+    t.metrics.average_precision = ap[i];
+    t.metrics.optimized_latency = lat[i];
+    db.add(t);
+  }
+  EXPECT_EQ(nas::select_latency_budget(db, 4e-4)->index, 1);
+  EXPECT_EQ(nas::select_latency_budget(db, 1e-3)->index, 0);
+  EXPECT_FALSE(nas::select_latency_budget(db, 5e-5).has_value());
+}
+
+nas::TrialDatabase sample_experiment() {
+  nas::TrialDatabase db;
+  for (int i = 0; i < 3; ++i) {
+    nas::Trial t;
+    t.index = i;
+    t.point.conv1_kernel = 3 + 2 * i;
+    t.point.spp_first_level = i + 1;
+    t.point.fc_sizes = {128ll << i};
+    t.metrics.average_precision = 0.9 + 0.01 * i;
+    t.metrics.sequential_latency = 5e-4 + 1e-5 * i;
+    t.metrics.optimized_latency = 3e-4 + 1e-5 * i;
+    t.metrics.throughput = 3000.0 - 100.0 * i;
+    t.metrics.parameter_count = 1000000 + i;
+    db.add(t);
+  }
+  return db;
+}
+
+TEST(Experiment, RoundTripPreservesEverything) {
+  const nas::TrialDatabase db = sample_experiment();
+  const std::string text = nas::serialize_experiment(db);
+  const nas::TrialDatabase back = nas::deserialize_experiment(text);
+  ASSERT_EQ(back.size(), db.size());
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    EXPECT_EQ(back.trial(i).index, db.trial(i).index);
+    EXPECT_EQ(back.trial(i).point, db.trial(i).point);
+    EXPECT_DOUBLE_EQ(back.trial(i).metrics.average_precision,
+                     db.trial(i).metrics.average_precision);
+    EXPECT_DOUBLE_EQ(back.trial(i).metrics.optimized_latency,
+                     db.trial(i).metrics.optimized_latency);
+    EXPECT_EQ(back.trial(i).metrics.parameter_count,
+              db.trial(i).metrics.parameter_count);
+  }
+}
+
+TEST(Experiment, FileRoundTrip) {
+  const std::string path = testing::TempDir() + "/dcn_experiment.txt";
+  nas::save_experiment(sample_experiment(), path);
+  const nas::TrialDatabase back = nas::load_experiment(path);
+  EXPECT_EQ(back.size(), 3u);
+}
+
+TEST(Experiment, RejectsMalformedInput) {
+  EXPECT_THROW(nas::deserialize_experiment("garbage"), Error);
+  EXPECT_THROW(
+      nas::deserialize_experiment("nas-experiment v1\ntrial x\n"), Error);
+  EXPECT_THROW(nas::deserialize_experiment(
+                   "nas-experiment v1\ntrial 0 conv1 3 spp 2 fc 99\n"),
+               Error);
 }
 
 }  // namespace

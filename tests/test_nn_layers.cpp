@@ -1,5 +1,11 @@
-// Forward-pass tests for nn layers (backward is covered by test_gradcheck).
+// Forward-pass tests for nn layers (backward is covered by test_gradcheck),
+// plus property sweeps over the SPP output-size and adaptive-pool coverage
+// laws.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <tuple>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -107,6 +113,23 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   const Tensor gi = pool.backward(g);
   EXPECT_EQ(gi[0], 0.0f);
   EXPECT_EQ(gi[3], 2.0f);
+}
+
+TEST(MaxPool2d, RejectsPlaneSmallerThanWindow) {
+  // (1 - 2) / 2 + 1 truncates to one output row, which would read past the
+  // plane.
+  MaxPool2d pool(2, 2);
+  EXPECT_THROW(pool.forward(Tensor(Shape{1, 1, 1, 4})), Error);
+  EXPECT_THROW(max_pool2d(Tensor(Shape{1, 1, 4, 1}), 2, 2), Error);
+}
+
+TEST(MaxPool2d, BackwardStaysInWindowWhenNothingBeatsMinusInfinity) {
+  MaxPool2d pool(2, 2);
+  Tensor x(Shape{1, 1, 2, 4}, -std::numeric_limits<float>::infinity());
+  (void)pool.forward(x);
+  const Tensor gi = pool.backward(Tensor(Shape{1, 1, 1, 2}, 1.0f));
+  EXPECT_EQ(gi[0], 1.0f);  // the first window's first element
+  EXPECT_EQ(gi[2], 1.0f);  // the second window's, not the plane's
 }
 
 TEST(AdaptiveMaxPool2d, FixedOutputForAnyInput) {
@@ -292,6 +315,65 @@ TEST(Dropout, TrainingModePreservesExpectation) {
   EXPECT_NEAR(sum / y.numel(), 1.0, 0.03);  // inverted scaling
   EXPECT_NEAR(static_cast<double>(zeros) / y.numel(), 0.25, 0.02);
 }
+
+// ---- Parameterized property sweeps ----
+
+// SPP output-size law: output features = C * sum(l^2) for every input size.
+using SppCase = std::tuple<int, int, int>;  // first level, channels, size
+
+class SppOutputLaw : public testing::TestWithParam<SppCase> {};
+
+TEST_P(SppOutputLaw, FixedLengthForAnyInput) {
+  const auto [first, channels, size] = GetParam();
+  SpatialPyramidPool spp(spp_levels_from_first(first));
+  Rng rng(static_cast<std::uint64_t>(first * 100 + channels + size));
+  Tensor x(Shape{2, channels, size, size});
+  x.fill_uniform(rng, 0.0f, 1.0f);
+  const Tensor y = spp.forward(x);
+  std::int64_t cells = 0;
+  for (std::int64_t l : spp.levels()) cells += l * l;
+  EXPECT_EQ(y.shape(), Shape({2, channels * cells}));
+  // Values are maxima of the input: bounded by the input range.
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    EXPECT_GE(y[i], 0.0f);
+    EXPECT_LE(y[i], 1.0f);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SppOutputLaw,
+    testing::Combine(testing::Values(1, 2, 3, 4, 5),
+                     testing::Values(1, 8),
+                     testing::Values(5, 12, 25)));
+
+// Adaptive-pool coverage law: the max over all bins equals the global max.
+class AdaptiveCoverageLaw : public testing::TestWithParam<std::tuple<int, int>> {
+};
+
+TEST_P(AdaptiveCoverageLaw, BinsNeverMissTheGlobalMax) {
+  const auto [out, in] = GetParam();
+  if (out > in) GTEST_SKIP() << "upsampling case covered elsewhere";
+  AdaptiveMaxPool2d pool(out, out);
+  Rng rng(static_cast<std::uint64_t>(out * 1000 + in));
+  Tensor x(Shape{1, 3, in, in});
+  x.fill_normal(rng, 0.0f, 1.0f);
+  const Tensor y = pool.forward(x);
+  for (std::int64_t c = 0; c < 3; ++c) {
+    float global_max = -1e30f;
+    for (std::int64_t i = 0; i < in * in; ++i) {
+      global_max = std::max(global_max, x[c * in * in + i]);
+    }
+    float bin_max = -1e30f;
+    for (std::int64_t i = 0; i < out * out; ++i) {
+      bin_max = std::max(bin_max, y[c * out * out + i]);
+    }
+    EXPECT_FLOAT_EQ(bin_max, global_max) << "channel " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, AdaptiveCoverageLaw,
+                         testing::Combine(testing::Values(1, 2, 3, 4, 5, 7),
+                                          testing::Values(5, 9, 12, 25)));
 
 }  // namespace
 }  // namespace dcn

@@ -17,7 +17,6 @@
 #include "detect/sppnet_config.hpp"
 #include "graph/builder.hpp"
 #include "ios/scheduler.hpp"
-#include "ios/serialize.hpp"
 #include "nas/search_space.hpp"
 #include "profiler/counters.hpp"
 #include "profiler/recorder.hpp"
@@ -67,10 +66,8 @@ TEST(ScheduleCache, CachedSchedulesAndCostsMatchUncached) {
     const Schedule warm = optimize_schedule(g, spec);
     const double warm_cost = schedule_cost(g, spec, warm, 1);
 
-    EXPECT_EQ(serialize_schedule(uncached), serialize_schedule(cold))
-        << model.to_notation();
-    EXPECT_EQ(serialize_schedule(cold), serialize_schedule(warm))
-        << model.to_notation();
+    EXPECT_EQ(uncached, cold) << model.to_notation();
+    EXPECT_EQ(cold, warm) << model.to_notation();
     EXPECT_EQ(uncached_cost, cold_cost) << model.to_notation();
     EXPECT_EQ(cold_cost, warm_cost) << model.to_notation();
     // The warm pass hit for every branched block and the memoized cost.
@@ -226,15 +223,15 @@ TEST(ScheduleCache, ConcurrentLookupsAreThreadSafe) {
   cache.clear();
   const simgpu::DeviceSpec spec = simgpu::a5500_spec();
   const auto family = sppnet_family();
-  std::vector<std::string> serialized(family.size());
+  std::vector<Schedule> schedules(family.size());
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < family.size(); ++t) {
-    threads.emplace_back([t, &family, &spec, &serialized] {
+    threads.emplace_back([t, &family, &spec, &schedules] {
       const graph::Graph g = graph_of(family[t]);
       for (int round = 0; round < 3; ++round) {
         const Schedule s = optimize_schedule(g, spec);
         schedule_cost(g, spec, s, 1);
-        serialized[t] = serialize_schedule(s);
+        schedules[t] = s;
       }
     });
   }
@@ -243,8 +240,7 @@ TEST(ScheduleCache, ConcurrentLookupsAreThreadSafe) {
   cache.set_enabled(false);
   for (std::size_t t = 0; t < family.size(); ++t) {
     const graph::Graph g = graph_of(family[t]);
-    EXPECT_EQ(serialized[t],
-              serialize_schedule(optimize_schedule(g, spec)));
+    EXPECT_EQ(schedules[t], optimize_schedule(g, spec));
   }
   cache.set_enabled(true);
 }
