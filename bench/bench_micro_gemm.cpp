@@ -1,9 +1,10 @@
 // Micro benchmarks: the blocked SGEMM vs the reference triple loop and the
 // frozen pre-vectorization scalar kernel, at the shapes the SPP-Net workload
-// actually hits (im2col GEMMs and FC layers). Every bench reports GFLOP/s;
-// the 512^3 shape with a thread sweep is the acceptance benchmark for the
-// parallel + vectorized engine (export with
-//   bench_micro_gemm --benchmark_filter=512 \
+// actually hits (im2col GEMMs and FC layers), plus the int8 qgemm at the
+// same batch-1 shapes. Every SGEMM bench reports GFLOP/s and BM_Qgemm
+// GOP/s; the 512^3 shape with a thread sweep is the acceptance benchmark
+// for the parallel + vectorized engine (export with
+//   bench_micro_gemm --benchmark_filter=512
 //     --benchmark_out=BENCH_gemm.json --benchmark_out_format=json).
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/registry.hpp"
 #include "tensor/kernels/tuner.hpp"
+#include "tensor/qgemm.hpp"
 
 namespace {
 
@@ -213,6 +215,49 @@ void BM_GemmTransposedB(benchmark::State& state) {
 }
 
 BENCHMARK(BM_GemmTransposedB)->Arg(1)->Arg(20)->Unit(benchmark::kMillisecond);
+
+// int8 qgemm at SPP-Net #2's batch-1 shapes at 100 px: the conv0, conv1
+// and conv2 im2col lowerings (packed tiles) and fc0 (n == 1, the unpacked
+// dot-product path), with the layers' fused bias + ReLU epilogue and a
+// nonzero activation zero point. GOP/s counts two ops per multiply-add
+// over wall time (the call is multi-threaded). A smoke check without a floor: the dispatched variant sets the speed, and
+// CI CPUs vary and may lack VNNI.
+void BM_Qgemm(benchmark::State& state) {
+  const std::int64_t m = state.range(0);
+  const std::int64_t n = state.range(1);
+  const std::int64_t k = state.range(2);
+  Rng rng(1);
+  std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+  std::vector<std::uint8_t> b(static_cast<std::size_t>(k * n));
+  for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+  for (auto& v : b) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  const std::vector<float> scales(static_cast<std::size_t>(m), 0.01f);
+  const std::vector<float> bias(static_cast<std::size_t>(m), 0.1f);
+  QuantParams params;
+  params.scale = 0.02f;
+  params.zero_point = 37;
+  QuantEpilogue epilogue;
+  epilogue.row_bias = bias.data();
+  epilogue.relu = true;
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (auto _ : state) {
+    qgemm(m, n, k, a.data(), k, scales.data(), m, b.data(), n, params,
+          c.data(), n, epilogue);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GOP/s"] = benchmark::Counter(
+      2.0 * m * n * k, benchmark::Counter::kIsIterationInvariantRate,
+      benchmark::Counter::kIs1000);
+}
+
+BENCHMARK(BM_Qgemm)
+    ->Args({64, 10000, 36})
+    ->Args({128, 2500, 576})
+    ->Args({256, 625, 1152})
+    ->Args({4096, 1, 7680})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Per-variant A/B: the same blocked driver forced onto each compiled-in
 // SIMD variant (generic / sse41 / avx2 / avx512). Variants the executing

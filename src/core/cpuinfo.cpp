@@ -15,6 +15,7 @@ CpuFeatures probe() {
   f.fma = __builtin_cpu_supports("fma");
   f.avx512f = __builtin_cpu_supports("avx512f");
   f.avx512bw = __builtin_cpu_supports("avx512bw");
+  f.avx512vnni = __builtin_cpu_supports("avx512vnni");
 #endif
   return f;
 }

@@ -20,6 +20,7 @@ struct CpuFeatures {
   bool fma = false;
   bool avx512f = false;
   bool avx512bw = false;
+  bool avx512vnni = false;
 };
 
 /// The executing machine's features, probed once (cpuid) on first call and

@@ -17,8 +17,8 @@ std::atomic<int> g_num_threads{0};  // 0 = backend default
 // Shared compute pool for the tensor engine. Created lazily at the first
 // parallel kernel launch and grown (replaced) when a larger thread count is
 // requested; callers hold a shared_ptr so a pool in use is never destroyed
-// under them. Workers flag themselves via tls_compute_worker so nested
-// kernel launches run inline.
+// under them. Every thread running a task — pool worker or caller — sets
+// tls_compute_worker so nested kernel launches run inline.
 thread_local bool tls_compute_worker = false;
 
 std::mutex g_compute_pool_mutex;
@@ -101,33 +101,44 @@ bool in_compute_worker() { return tls_compute_worker; }
 
 void run_compute_tasks(int tasks, const std::function<void(int)>& fn) {
   if (tasks <= 0) return;
-  if (tasks == 1 || compute_threads() == 1 || tls_compute_worker) {
+  const int threads = compute_threads();
+  if (tasks == 1 || threads == 1 || tls_compute_worker) {
     for (int t = 0; t < tasks; ++t) fn(t);
     return;
   }
-  const auto pool = acquire_compute_pool(compute_threads());
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<std::size_t>(tasks - 1));
-  for (int t = 1; t < tasks; ++t) {
-    futures.push_back(pool->submit([&fn, t] {
-      // Flag the worker for the duration of the task so nested kernel
-      // launches inside fn run inline (restored even if fn throws).
-      struct Flag {
-        Flag() { tls_compute_worker = true; }
-        ~Flag() { tls_compute_worker = false; }
-      } flag;
-      fn(t);
-    }));
-  }
-  fn(0);  // the caller contributes instead of idling on the futures
+  // The caller and threads - 1 pool helpers claim task indices from one
+  // counter, so a call keeps exactly `threads` threads busy however many
+  // tasks it has. Every participant, the caller included, is flagged as a
+  // worker while it drains, so nested kernel launches inside fn run inline.
+  std::atomic<int> next{0};
+  std::mutex error_mutex;
   std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  int first_error_task = tasks;
+  const auto drain = [&] {
+    struct Flag {
+      Flag() { tls_compute_worker = true; }
+      ~Flag() { tls_compute_worker = false; }
+    } flag;
+    for (int t = next.fetch_add(1, std::memory_order_relaxed); t < tasks;
+         t = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        fn(t);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (t < first_error_task) {
+          first_error_task = t;
+          first_error = std::current_exception();
+        }
+      }
     }
-  }
+  };
+  const auto pool = acquire_compute_pool(threads);
+  const int helpers = std::min(tasks, threads) - 1;
+  std::vector<std::future<void>> futures;
+  futures.reserve(static_cast<std::size_t>(helpers));
+  for (int h = 0; h < helpers; ++h) futures.push_back(pool->submit(drain));
+  drain();
+  for (auto& f : futures) f.get();
   if (first_error) std::rethrow_exception(first_error);
 }
 
@@ -142,16 +153,7 @@ std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t n,
 
 void for_each_sample(std::int64_t batch,
                      const std::function<void(std::int64_t)>& fn) {
-  const int tasks =
-      static_cast<int>(std::min<std::int64_t>(compute_threads(), batch));
-  if (tasks <= 1) {
-    for (std::int64_t n = 0; n < batch; ++n) fn(n);
-    return;
-  }
-  run_compute_tasks(tasks, [&](int t) {
-    const auto [lo, hi] = chunk_range(batch, tasks, t);
-    for (std::int64_t n = lo; n < hi; ++n) fn(n);
-  });
+  run_compute_tasks(static_cast<int>(batch), [&](int n) { fn(n); });
 }
 
 ThreadPool::ThreadPool(int threads) {

@@ -55,16 +55,19 @@ void parallel_for_chunked(
 /// std::thread compute pool scales even in TSan builds that avoid OpenMP.
 int compute_threads();
 
-/// True when the calling thread is a shared-compute-pool worker. Parallel
-/// kernels use this to run nested parallel regions inline instead of
-/// re-submitting to the pool, which could deadlock a fully occupied pool.
+/// True while the calling thread runs a run_compute_tasks task, on a pool
+/// worker or on the calling thread itself. Parallel kernels use this to run
+/// nested parallel regions inline instead of re-submitting to the pool,
+/// which could deadlock a fully occupied pool or oversubscribe the cores.
 bool in_compute_worker();
 
 /// Run fn(task) for task in [0, tasks) on the shared compute pool and block
-/// until all tasks finish. Task 0 runs on the calling thread so the caller
-/// is not parked while workers do all the lifting. Falls back to an inline
-/// serial loop when tasks <= 1, compute_threads() == 1, or when invoked
-/// from a pool worker. Exceptions from tasks are rethrown (first one wins).
+/// until all tasks finish. The calling thread and up to compute_threads() - 1
+/// pool workers claim tasks from one counter, so a call never runs more
+/// than compute_threads() threads, whatever its task count. Falls back to
+/// an inline serial loop when tasks <= 1, compute_threads() == 1, or when
+/// invoked from inside another call's task. Exceptions from tasks are
+/// rethrown; when several tasks throw, the lowest-numbered one's wins.
 ///
 /// Determinism contract: callers that need bit-reproducible results across
 /// thread counts must make the *decomposition* (what each task computes and
@@ -79,8 +82,9 @@ std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t n,
                                                   std::int64_t chunks,
                                                   std::int64_t c);
 
-/// Run fn(i) for every sample i in [0, batch): contiguous chunk_range pieces
-/// over min(compute_threads(), batch) compute tasks, inline when that is 1.
+/// Run fn(i) for every sample i in [0, batch), one compute task per sample:
+/// the threads claim samples as they finish the previous one, so a thread
+/// that is preempted delays one sample, not a fixed share of the batch.
 /// For per-sample work that writes disjoint outputs and computes a sample
 /// the same wherever it runs, so results are bit-identical at any thread
 /// count.

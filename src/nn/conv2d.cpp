@@ -58,9 +58,8 @@ Tensor lower_conv(const Tensor& input, std::int64_t out_channels,
   Tensor output(Shape{input.dim(0), out_channels, g.out_h(), g.out_w()});
   const std::int64_t in_stride = g.channels * g.height * g.width;
   const std::int64_t out_stride = out_channels * ohw;
-  // Samples are independent (disjoint output) — contiguous sample ranges
-  // spread over the pool. A single sample instead parallelizes inside the
-  // GEMM.
+  // Samples are independent (disjoint output) — one pool task each. A
+  // single sample instead parallelizes inside the GEMM.
   for_each_sample(input.dim(0), [&](std::int64_t n) {
     Workspace& ws = Workspace::tls();
     Workspace::Scope scope(ws);

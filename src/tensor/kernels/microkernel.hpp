@@ -4,9 +4,10 @@
 // gemm.cpp/qgemm.cpp own packing, blocking, threading, and epilogues, and
 // delegate only the register-resident inner loops to function pointers
 // selected at runtime by the KernelRegistry. Each variant translation unit
-// (variant_generic / variant_sse41 / variant_avx2 / variant_avx512) is
-// compiled with its own ISA flags and registers the kernels below; the
-// registry picks the widest variant the executing CPU supports.
+// (variant_generic / variant_sse41 / variant_avx2 / variant_avx512 /
+// variant_avx512vnni) is compiled with its own ISA flags and registers the
+// kernels below; the registry picks the widest variant the executing CPU
+// supports.
 //
 // Determinism contract (pinned by test_gemm / test_quant / test_kernels):
 // every kernel computes each output element with the *identical* scalar
@@ -15,9 +16,10 @@
 // with no FMA contraction (all variant TUs and gemm.cpp build with
 // -ffp-contract=off) and no cross-lane reassociation, SIMD lanes only ever
 // hold *distinct* output elements. Integer kernels (qgemm) are exact by
-// arithmetic. Consequence: every variant, at every micro-tile size, is
-// memcmp-identical to the generic reference registrant — dispatch and
-// autotuning may change speed, never bits.
+// arithmetic: int32 sums cannot overflow because qgemm bounds K.
+// Consequence: every variant, at every micro-tile size, is memcmp-identical
+// to the generic reference registrant — dispatch and autotuning may change
+// speed, never bits.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +47,32 @@ struct SgemmMicroKernel {
   SgemmMicroFn fn = nullptr;
 };
 
-/// Quantized GEMM inner row update: acc[j] += av * b[j] for j in [0, n),
-/// int32 accumulation (exact — bit-identical for every variant).
-using QgemmRowFn = void (*)(std::int64_t n, std::int32_t av,
-                            const std::uint8_t* b, std::int32_t* acc);
+/// Quantized GEMM micro kernel: acc[mr x nr] (row-major, stride nr) = the
+/// int32 sum over kg packed K-groups of pa x pb. Overwrites acc (no read).
+/// Each group holds four consecutive K steps, zero-padded past K:
+///   pa: group g, row i, step t at pa[(g * mr + i) * 4 + t]   (s8 weights)
+///   pb: group g, col j, step t at pb[(g * nr + j) * 4 + t]   (u8 activations)
+/// so column j's four bytes sit in one 32-bit lane — the vpdpbusd layout.
+/// Tail rows/columns of a partial tile are zero-padded too; a zero in either
+/// operand adds nothing, so padding never changes a sum. Accumulation is
+/// exact int32 (qgemm bounds k), so every tile is bit-identical.
+using QgemmMicroFn = void (*)(std::int64_t kg, const std::int8_t* pa,
+                              const std::uint8_t* pb, std::int32_t* acc);
+
+/// One registered qgemm micro tile: a fixed (MR, NR) instantiation.
+struct QgemmMicroKernel {
+  std::int64_t mr = 0;
+  std::int64_t nr = 0;
+  QgemmMicroFn fn = nullptr;
+};
+
+/// Batch-1 quantized dot products over row-major A (no packing): for each
+/// row r < rows, dot[r] = sum_p a[r*lda + p] * b[p] and sum[r] = sum_p
+/// a[r*lda + p], p in [0, k). Exact int32 arithmetic.
+using QdotFn = void (*)(std::int64_t rows, std::int64_t k,
+                        const std::int8_t* a, std::int64_t lda,
+                        const std::uint8_t* b, std::int32_t* dot,
+                        std::int32_t* sum);
 
 /// dst[i] += src[i] for i in [0, n) — col2im interior accumulation.
 /// Elementwise float add: exact for every vector width.
@@ -84,7 +108,9 @@ struct KernelVariant {
   /// entry is the default when the autotuner is off. Every variant must
   /// offer at least one tile.
   std::vector<SgemmMicroKernel> sgemm;
-  QgemmRowFn qgemm_row = nullptr;
+  /// qgemm micro tiles, preference-ordered like `sgemm`.
+  std::vector<QgemmMicroKernel> qgemm;
+  QdotFn qdot = nullptr;
   AccumulateFn accumulate = nullptr;
   QuantizeU8Fn quantize_u8 = nullptr;
   DequantizeU8Fn dequantize_u8 = nullptr;
@@ -101,6 +127,13 @@ struct KernelVariant {
     }
     return nullptr;
   }
+  /// The registered qgemm kernel for (mr, nr), or nullptr.
+  const QgemmMicroKernel* find_qgemm(std::int64_t mr, std::int64_t nr) const {
+    for (const auto& k : qgemm) {
+      if (k.mr == mr && k.nr == nr) return &k;
+    }
+    return nullptr;
+  }
 };
 
 /// Factories implemented by the variant translation units. Only the ones
@@ -109,5 +142,6 @@ KernelVariant make_generic_variant();
 KernelVariant make_sse41_variant();
 KernelVariant make_avx2_variant();
 KernelVariant make_avx512_variant();
+KernelVariant make_avx512vnni_variant();
 
 }  // namespace dcn::kernels

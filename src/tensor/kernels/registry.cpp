@@ -41,11 +41,19 @@ KernelRegistry::KernelRegistry() {
 #ifdef DCN_KERNEL_HAVE_AVX512
   variants_.push_back(make_avx512_variant());
 #endif
+#ifdef DCN_KERNEL_HAVE_AVX512VNNI
+  variants_.push_back(make_avx512vnni_variant());
+#endif
   for (const KernelVariant& v : variants_) {
-    DCN_CHECK(!v.sgemm.empty()) << "variant " << v.name << " has no sgemm";
+    DCN_CHECK(!v.sgemm.empty() && !v.qgemm.empty())
+        << "variant " << v.name << " has no sgemm or qgemm tile";
     for (const SgemmMicroKernel& k : v.sgemm) {
       DCN_CHECK(k.mr >= 1 && k.mr <= kMaxMr && k.nr >= 1 && k.nr <= kMaxNr)
           << "variant " << v.name << " tile " << k.mr << 'x' << k.nr;
+    }
+    for (const QgemmMicroKernel& k : v.qgemm) {
+      DCN_CHECK(k.mr >= 1 && k.mr <= kMaxMr && k.nr >= 1 && k.nr <= kMaxNr)
+          << "variant " << v.name << " qgemm tile " << k.mr << 'x' << k.nr;
     }
   }
   const KernelVariant* env = select_from_env();

@@ -5,8 +5,8 @@
 // supported() probe passes on the executing CPU — and cached. The choice
 // can be overridden for A/B runs and CI:
 //
-//   * environment: DCN_KERNEL_VARIANT=generic|sse41|avx2|avx512 (read at
-//     first dispatch; reselect() re-reads it),
+//   * environment: DCN_KERNEL_VARIANT=generic|sse41|avx2|avx512|avx512vnni
+//     (read at first dispatch; reselect() re-reads it),
 //   * programmatic: force_variant("avx2") / ScopedForce, used by tests and
 //     bench_micro_gemm to measure every variant in one process.
 //

@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifdef __unix__
@@ -25,8 +27,9 @@ constexpr char kMagic[] = "dcn-tile-cache-v1";
 // the determinism contract forbids tuning — see tuner.hpp).
 constexpr std::int64_t kPinnedKc = 256;
 
-// qgemm searches its accumulator row-tile only.
-constexpr std::int64_t kQgemmRowTiles[] = {2, 4, 8};
+// Macro blockings searched per sgemm tile. qgemm's work split is fixed by
+// the shape (qgemm.cpp), so its tiles carry the default blocking alone.
+constexpr std::int64_t kBlockings[][2] = {{128, 256}, {64, 512}, {256, 128}};
 
 // Shape-class bucket: exact up to 16, then the next power of two. Keys the
 // cache by problem *class* so structurally identical GEMMs across layers,
@@ -67,66 +70,58 @@ std::string resolve_cache_dir() {
   return "/tmp/dcn-tuner";
 }
 
-bool valid_for(const KernelVariant& variant, char precision,
-               const TileConfig& c) {
+// (mr, nr) of every micro tile the precision's GEMM can run, in the
+// variant's preference order: 'f' (sgemm) or 'q' (qgemm).
+std::vector<std::pair<std::int64_t, std::int64_t>> tiles_of(
+    const KernelVariant& variant, char precision) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> tiles;
   if (precision == 'q') {
-    for (const std::int64_t mr : kQgemmRowTiles) {
-      if (c.mr == mr) return true;
+    for (const QgemmMicroKernel& k : variant.qgemm) {
+      tiles.emplace_back(k.mr, k.nr);
     }
-    return false;
+  } else {
+    for (const SgemmMicroKernel& k : variant.sgemm) {
+      tiles.emplace_back(k.mr, k.nr);
+    }
   }
-  return variant.find_sgemm(c.mr, c.nr) != nullptr && c.mc >= c.mr &&
-         c.nc >= c.nr && c.kc == kPinnedKc;
+  return tiles;
 }
 
-TileConfig default_config(const KernelVariant& variant, char precision) {
+bool valid_for(const KernelVariant& variant, char precision,
+               const TileConfig& c) {
+  const auto tiles = tiles_of(variant, precision);
+  return std::find(tiles.begin(), tiles.end(), std::make_pair(c.mr, c.nr)) !=
+             tiles.end() &&
+         c.mc >= c.mr && c.nc >= c.nr && c.kc == kPinnedKc;
+}
+
+TileConfig with_blocking(std::int64_t mr, std::int64_t nr,
+                         const std::int64_t (&blocking)[2]) {
   TileConfig c;
-  if (precision == 'q') {
-    c.mr = 4;  // the historical fixed kQMr
-    c.nr = 0;
-    c.mc = 0;
-    c.nc = 0;
-  } else {
-    const SgemmMicroKernel& k = variant.default_sgemm();
-    c.mr = k.mr;
-    c.nr = k.nr;
-    c.mc = 128;
-    c.nc = 256;
-  }
+  c.mr = mr;
+  c.nr = nr;
+  c.mc = std::max(blocking[0], mr);
+  c.nc = std::max(blocking[1], nr);
   c.kc = kPinnedKc;
   return c;
 }
 
+TileConfig default_config(const KernelVariant& variant, char precision) {
+  const auto [mr, nr] = tiles_of(variant, precision).front();
+  return with_blocking(mr, nr, kBlockings[0]);
+}
+
 std::vector<TileConfig> candidates(const KernelVariant& variant,
                                    char precision) {
-  std::vector<TileConfig> out;
-  if (precision == 'q') {
-    for (const std::int64_t mr : kQgemmRowTiles) {
-      TileConfig c = default_config(variant, 'q');
-      c.mr = mr;
-      // Default first so the winner is never measured slower than it.
-      if (mr == 4) {
-        out.insert(out.begin(), c);
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
   // Macro-blocking variants per tile: the square-ish default plus a
   // wide-N and a tall-M split. These move only the tile visit order, so
   // every candidate is bit-identical — pure scheduling search.
-  constexpr std::int64_t kBlockings[][2] = {{128, 256}, {64, 512}, {256, 128}};
+  const std::size_t blockings = precision == 'q' ? 1 : std::size(kBlockings);
   const TileConfig def = default_config(variant, precision);
-  out.push_back(def);
-  for (const SgemmMicroKernel& k : variant.sgemm) {
-    for (const auto& b : kBlockings) {
-      TileConfig c;
-      c.mr = k.mr;
-      c.nr = k.nr;
-      c.mc = std::max(b[0], k.mr);
-      c.nc = std::max(b[1], k.nr);
-      c.kc = kPinnedKc;
+  std::vector<TileConfig> out{def};
+  for (const auto& [mr, nr] : tiles_of(variant, precision)) {
+    for (std::size_t b = 0; b < blockings; ++b) {
+      const TileConfig c = with_blocking(mr, nr, kBlockings[b]);
       if (c.mr == def.mr && c.nr == def.nr && c.mc == def.mc &&
           c.nc == def.nc) {
         continue;  // already candidate #0
@@ -158,8 +153,8 @@ std::string TileTuner::cache_key(const KernelVariant& variant, char precision,
   // The registered tile table is part of the content: a rebuilt binary
   // offering different tiles must not replay a winner it cannot run.
   os << ":tiles";
-  for (const SgemmMicroKernel& t : variant.sgemm) {
-    os << ',' << t.mr << 'x' << t.nr;
+  for (const auto& [mr, nr] : tiles_of(variant, precision)) {
+    os << ',' << mr << 'x' << nr;
   }
   return os.str();
 }
@@ -179,17 +174,10 @@ TileConfig TileTuner::choose(const KernelVariant& variant, char precision,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!enabled_) return default_config(variant, precision);
-    if (forced_mr_ > 0 && precision == 'f') {
-      const SgemmMicroKernel* forced =
-          variant.find_sgemm(forced_mr_, forced_nr_);
-      if (forced != nullptr) {
-        TileConfig c = default_config(variant, precision);
-        c.mr = forced->mr;
-        c.nr = forced->nr;
-        c.mc = std::max<std::int64_t>(128, c.mr);
-        c.nc = std::max<std::int64_t>(256, c.nr);
-        return c;
-      }
+    if (forced_mr_ > 0) {
+      const TileConfig forced =
+          with_blocking(forced_mr_, forced_nr_, kBlockings[0]);
+      if (valid_for(variant, precision, forced)) return forced;
     }
   }
   const std::string key = cache_key(variant, precision, m, n, k);
@@ -305,8 +293,7 @@ bool TileTuner::load_entry(const std::string& key,
   // the tile's presence in the running binary's variant table must all
   // agree, or the entry is corrupt and gets re-tuned.
   if (magic != kMagic || stored_key != key || !complete ||
-      (precision == 'q' ? !valid_for(variant, 'q', c)
-                        : !valid_for(variant, precision, c))) {
+      !valid_for(variant, precision, c)) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.corrupt_entries;

@@ -10,7 +10,8 @@
 // tile table, counted as tuner_cache.corrupt, and silently re-tuned.
 //
 // What is searched: the micro tile (MR x NR) from the active variant's
-// registered set, and the macro blocking (MC, NC). What is NOT searched:
+// registered set — its sgemm tiles for 'f', its qgemm tiles for 'q' — and,
+// for sgemm only, the macro blocking (MC, NC). What is NOT searched:
 // KC — the K-block extent is the one blocking parameter that changes the
 // floating-point summation tree, so it stays pinned (gemm.cpp kBlockK) to
 // keep every tuned configuration bit-identical to every other. Cold tune
@@ -94,8 +95,9 @@ class TileTuner {
   TunerStats stats();
   void reset_stats();
 
-  /// Force every sgemm selection to (mr, nr) when the active variant
-  /// registers that tile (bench tile sweeps); 0,0 clears.
+  /// Force every sgemm and qgemm selection to (mr, nr) where the active
+  /// variant registers that tile for the precision (bench and test tile
+  /// sweeps); 0,0 clears.
   void force_tile(std::int64_t mr, std::int64_t nr);
 
   /// RAII tile force for benches/tests.

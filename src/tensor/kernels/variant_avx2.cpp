@@ -27,7 +27,12 @@ KernelVariant make_avx2_variant() {
       {8, 16, &sgemm_micro_vec<8, 16, W>},
       {4, 48, &sgemm_micro_vec<4, 48, W>},
   };
-  v.qgemm_row = &qgemm_row_vec<W>;
+  v.qgemm = {
+      {4, 16, &qgemm_micro_vec<4, 16, W>},
+      {6, 16, &qgemm_micro_vec<6, 16, W>},
+      {8, 8, &qgemm_micro_vec<8, 8, W>},
+  };
+  v.qdot = &qdot_vec<W>;
   v.accumulate = &accumulate_vec<W>;
   v.quantize_u8 = &quantize_u8_vec<W>;
   v.quantize_s8 = &quantize_s8_vec<W>;

@@ -30,7 +30,13 @@ KernelVariant make_avx512_variant() {
       {8, 48, &sgemm_micro_vec<8, 48, W>},
       {6, 16, &sgemm_micro_vec<6, 16, W>},
   };
-  v.qgemm_row = &qgemm_row_vec<W>;
+  v.qgemm = {
+      {8, 32, &qgemm_micro_vec<8, 32, W>},
+      {12, 32, &qgemm_micro_vec<12, 32, W>},
+      {4, 64, &qgemm_micro_vec<4, 64, W>},
+      {16, 16, &qgemm_micro_vec<16, 16, W>},
+  };
+  v.qdot = &qdot_vec<W>;
   v.accumulate = &accumulate_vec<W>;
   v.quantize_u8 = &quantize_u8_vec<W>;
   v.quantize_s8 = &quantize_s8_vec<W>;

@@ -64,7 +64,12 @@ KernelVariant make_generic_variant() {
       {4, 16, &sgemm_micro_scalar<4, 16>},
       {8, 16, &sgemm_micro_scalar<8, 16>},
   };
-  v.qgemm_row = &qgemm_row_scalar;
+  v.qgemm = {
+      {4, 8, &qgemm_micro_scalar<4, 8>},
+      {8, 8, &qgemm_micro_scalar<8, 8>},
+      {4, 16, &qgemm_micro_scalar<4, 16>},
+  };
+  v.qdot = &qdot_scalar;
   v.accumulate = &accumulate_scalar;
   v.quantize_u8 = &quantize_u8_scalar;
   v.quantize_s8 = &quantize_s8_scalar;

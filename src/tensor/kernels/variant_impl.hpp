@@ -34,25 +34,56 @@ struct V<4> {
   typedef float vf __attribute__((vector_size(16), may_alias, aligned(4)));
   typedef std::int32_t vi
       __attribute__((vector_size(16), may_alias, aligned(4)));
+  typedef std::uint32_t vu
+      __attribute__((vector_size(16), may_alias, aligned(4)));
   typedef std::uint8_t vb
       __attribute__((vector_size(4), may_alias, aligned(1)));
+  typedef std::int8_t vsb
+      __attribute__((vector_size(4), may_alias, aligned(1)));
+  typedef std::int16_t vs __attribute__((vector_size(8)));
 };
 template <>
 struct V<8> {
   typedef float vf __attribute__((vector_size(32), may_alias, aligned(4)));
   typedef std::int32_t vi
       __attribute__((vector_size(32), may_alias, aligned(4)));
+  typedef std::uint32_t vu
+      __attribute__((vector_size(32), may_alias, aligned(4)));
   typedef std::uint8_t vb
       __attribute__((vector_size(8), may_alias, aligned(1)));
+  typedef std::int8_t vsb
+      __attribute__((vector_size(8), may_alias, aligned(1)));
+  typedef std::int16_t vs __attribute__((vector_size(16)));
 };
 template <>
 struct V<16> {
   typedef float vf __attribute__((vector_size(64), may_alias, aligned(4)));
   typedef std::int32_t vi
       __attribute__((vector_size(64), may_alias, aligned(4)));
+  typedef std::uint32_t vu
+      __attribute__((vector_size(64), may_alias, aligned(4)));
   typedef std::uint8_t vb
       __attribute__((vector_size(16), may_alias, aligned(1)));
+  typedef std::int8_t vsb
+      __attribute__((vector_size(16), may_alias, aligned(1)));
+  typedef std::int16_t vs __attribute__((vector_size(32)));
 };
+
+/// Byte <-> int32 lane conversions, each through 16-bit lanes: GCC 12
+/// vectorizes every 2x __builtin_convertvector step but lowers a direct 4x
+/// one (char <-> int) lane by lane on SSE/AVX2. narrow() truncates, so its
+/// callers clamp to the byte type's range first; every step is then exact.
+template <int W, typename Bytes>
+typename V<W>::vi widen(Bytes bytes) {
+  return __builtin_convertvector(
+      __builtin_convertvector(bytes, typename V<W>::vs), typename V<W>::vi);
+}
+
+template <typename Bytes, int W>
+Bytes narrow(typename V<W>::vi lanes) {
+  return __builtin_convertvector(
+      __builtin_convertvector(lanes, typename V<W>::vs), Bytes);
+}
 
 // ---------------------------------------------------------------- SGEMM ---
 
@@ -107,27 +138,116 @@ void sgemm_micro_vec(std::int64_t kb, const float* __restrict pa,
 
 // ---------------------------------------------------------------- qgemm ---
 
-/// acc[j] += av * b[j], widening u8 -> s32 per lane. Integer arithmetic is
-/// exact, so any width is bit-identical to the scalar loop.
-template <int W>
-void qgemm_row_vec(std::int64_t n, std::int32_t av, const std::uint8_t* b,
-                   std::int32_t* acc) {
-  typedef typename V<W>::vi vi;
-  typedef typename V<W>::vb vb;
-  std::int64_t j = 0;
-  for (; j + W <= n; j += W) {
-    const vb bytes = *reinterpret_cast<const vb*>(b + j);
-    const vi wide = __builtin_convertvector(bytes, vi);
-    vi* out = reinterpret_cast<vi*>(acc + j);
-    *out += av * wide;
+/// Scalar qgemm micro kernel over the packed K-group layout of
+/// microkernel.hpp (the generic variant).
+template <int MR, int NR>
+void qgemm_micro_scalar(std::int64_t kg, const std::int8_t* __restrict pa,
+                        const std::uint8_t* __restrict pb,
+                        std::int32_t* __restrict acc) {
+  std::int32_t c[MR][NR] = {};
+  for (std::int64_t g = 0; g < kg; ++g) {
+    const std::int8_t* a = pa + g * MR * 4;
+    const std::uint8_t* b = pb + g * NR * 4;
+    for (int i = 0; i < MR; ++i) {
+      for (int j = 0; j < NR; ++j) {
+        for (int t = 0; t < 4; ++t) {
+          c[i][j] += static_cast<std::int32_t>(a[i * 4 + t]) *
+                     static_cast<std::int32_t>(b[j * 4 + t]);
+        }
+      }
+    }
   }
-  for (; j < n; ++j) acc[j] += av * static_cast<std::int32_t>(b[j]);
+  for (int i = 0; i < MR; ++i) {
+    for (int j = 0; j < NR; ++j) acc[i * NR + j] = c[i][j];
+  }
 }
 
-inline void qgemm_row_scalar(std::int64_t n, std::int32_t av,
-                             const std::uint8_t* b, std::int32_t* acc) {
-  for (std::int64_t j = 0; j < n; ++j) {
-    acc[j] += av * static_cast<std::int32_t>(b[j]);
+/// Widening qgemm micro kernel: each 32-bit lane of a packed B vector holds
+/// one column's four K steps; step t is shifted out to an int32 lane and
+/// multiplied by row i's broadcast weight. Every product and sum is exact
+/// int32 — no saturating u8 x s8 -> s16 pair multiply (255 * 127 * 2 does
+/// not fit in s16).
+template <int MR, int NR, int W>
+void qgemm_micro_vec(std::int64_t kg, const std::int8_t* __restrict pa,
+                     const std::uint8_t* __restrict pb,
+                     std::int32_t* __restrict acc) {
+  static_assert(NR % W == 0, "tile width must be a multiple of the lanes");
+  typedef typename V<W>::vi vi;
+  typedef typename V<W>::vu vu;
+  constexpr int NV = NR / W;
+  vi c[MR][NV] = {};
+  for (std::int64_t g = 0; g < kg; ++g) {
+    const std::int8_t* a = pa + g * MR * 4;
+    vu q[NV];
+    for (int j = 0; j < NV; ++j) {
+      q[j] = *reinterpret_cast<const vu*>(pb + (g * NR + j * W) * 4);
+    }
+    for (int t = 0; t < 4; ++t) {
+      vi b[NV];
+      for (int j = 0; j < NV; ++j) {
+        b[j] = __builtin_convertvector((q[j] >> (8 * t)) & 0xffu, vi);
+      }
+      for (int i = 0; i < MR; ++i) {
+        const std::int32_t av = a[i * 4 + t];
+        for (int j = 0; j < NV; ++j) c[i][j] += av * b[j];
+      }
+    }
+  }
+  for (int i = 0; i < MR; ++i) {
+    for (int j = 0; j < NV; ++j) {
+      *reinterpret_cast<vi*>(acc + i * NR + j * W) = c[i][j];
+    }
+  }
+}
+
+inline void qdot_scalar(std::int64_t rows, std::int64_t k,
+                        const std::int8_t* a, std::int64_t lda,
+                        const std::uint8_t* b, std::int32_t* dot,
+                        std::int32_t* sum) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int8_t* row = a + r * lda;
+    std::int32_t d = 0;
+    std::int32_t s = 0;
+    for (std::int64_t p = 0; p < k; ++p) {
+      d += static_cast<std::int32_t>(row[p]) * static_cast<std::int32_t>(b[p]);
+      s += row[p];
+    }
+    dot[r] = d;
+    sum[r] = s;
+  }
+}
+
+/// Batch-1 dot products, W bytes of a row per step widened to int32 lanes.
+template <int W>
+void qdot_vec(std::int64_t rows, std::int64_t k, const std::int8_t* a,
+              std::int64_t lda, const std::uint8_t* b, std::int32_t* dot,
+              std::int32_t* sum) {
+  typedef typename V<W>::vi vi;
+  typedef typename V<W>::vb vb;
+  typedef typename V<W>::vsb vsb;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int8_t* row = a + r * lda;
+    vi dv = {};
+    vi sv = {};
+    std::int64_t p = 0;
+    for (; p + W <= k; p += W) {
+      const vi av = widen<W>(*reinterpret_cast<const vsb*>(row + p));
+      const vi bv = widen<W>(*reinterpret_cast<const vb*>(b + p));
+      dv += av * bv;
+      sv += av;
+    }
+    std::int32_t d = 0;
+    std::int32_t s = 0;
+    for (int l = 0; l < W; ++l) {
+      d += dv[l];
+      s += sv[l];
+    }
+    for (; p < k; ++p) {
+      d += static_cast<std::int32_t>(row[p]) * static_cast<std::int32_t>(b[p]);
+      s += row[p];
+    }
+    dot[r] = d;
+    sum[r] = s;
   }
 }
 
@@ -182,6 +302,7 @@ void quantize_u8_vec(const float* src, std::int64_t n, float inv_scale,
   using R = RoundAway<W>;
   typedef typename R::vf vf;
   typedef typename R::vi vi;
+  typedef typename V<W>::vb vb;
   std::int64_t i = 0;
   for (; i + W <= n; i += W) {
     vf v = *reinterpret_cast<const vf*>(src + i);
@@ -189,7 +310,7 @@ void quantize_u8_vec(const float* src, std::int64_t n, float inv_scale,
     vi r = R::round(v);
     r = r < 0 ? vi{} : r;
     r = r > 255 ? vi{} + 255 : r;
-    for (int l = 0; l < W; ++l) dst[i + l] = static_cast<std::uint8_t>(r[l]);
+    *reinterpret_cast<vb*>(dst + i) = narrow<vb, W>(r);
   }
   for (; i < n; ++i) {
     const float v = src[i] * inv_scale + zp;
@@ -204,6 +325,7 @@ void quantize_s8_vec(const float* src, std::int64_t n, float inv_scale,
   using R = RoundAway<W>;
   typedef typename R::vf vf;
   typedef typename R::vi vi;
+  typedef typename V<W>::vsb vsb;
   std::int64_t i = 0;
   for (; i + W <= n; i += W) {
     vf v = *reinterpret_cast<const vf*>(src + i);
@@ -211,7 +333,7 @@ void quantize_s8_vec(const float* src, std::int64_t n, float inv_scale,
     vi r = R::round(v);
     r = r < -127 ? vi{} - 127 : r;
     r = r > 127 ? vi{} + 127 : r;
-    for (int l = 0; l < W; ++l) dst[i + l] = static_cast<std::int8_t>(r[l]);
+    *reinterpret_cast<vsb*>(dst + i) = narrow<vsb, W>(r);
   }
   for (; i < n; ++i) {
     const auto r = static_cast<std::int32_t>(std::lround(src[i] * inv_scale));
@@ -223,13 +345,11 @@ template <int W>
 void dequantize_u8_vec(const std::uint8_t* src, std::int64_t n, float scale,
                        float zp, float* dst) {
   typedef typename V<W>::vf vf;
-  typedef typename V<W>::vi vi;
   typedef typename V<W>::vb vb;
   std::int64_t i = 0;
   for (; i + W <= n; i += W) {
-    const vb bytes = *reinterpret_cast<const vb*>(src + i);
     const vf v = __builtin_convertvector(
-        __builtin_convertvector(bytes, vi), vf);
+        widen<W>(*reinterpret_cast<const vb*>(src + i)), vf);
     *reinterpret_cast<vf*>(dst + i) = scale * (v - zp);
   }
   for (; i < n; ++i) {

@@ -26,7 +26,12 @@ KernelVariant make_sse41_variant() {
       {8, 8, &sgemm_micro_vec<8, 8, W>},
       {6, 16, &sgemm_micro_vec<6, 16, W>},
   };
-  v.qgemm_row = &qgemm_row_vec<W>;
+  v.qgemm = {
+      {4, 8, &qgemm_micro_vec<4, 8, W>},
+      {6, 8, &qgemm_micro_vec<6, 8, W>},
+      {8, 4, &qgemm_micro_vec<8, 4, W>},
+  };
+  v.qdot = &qdot_vec<W>;
   v.accumulate = &accumulate_vec<W>;
   v.quantize_u8 = &quantize_u8_vec<W>;
   v.quantize_s8 = &quantize_s8_vec<W>;

@@ -12,10 +12,11 @@
 // The zero-point correction uses the algebraic identity
 // sum_k A[m,k]*(B[k,n]-zp) = sum_k A[m,k]*B[k,n] - zp*sum_k A[m,k], so the
 // inner loop is a plain u8*s8 dot product. Accumulation is exact integer
-// arithmetic and every C element is produced by one float expression, so
-// results are bit-identical across thread counts and runs by construction;
-// the M-band decomposition is fixed regardless of the partition (DESIGN.md
-// "Tensor-engine threading model").
+// arithmetic (K is bounded so int32 cannot overflow) and every C element is
+// produced by one float expression, so results are bit-identical across
+// thread counts, kernel variants, tiles and runs by construction; the work
+// split is fixed by the shape regardless of the partition (DESIGN.md
+// "The qgemm kernel").
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,9 @@ struct QuantEpilogue {
 /// C(float)[m x n] = epilogue(dequant(A_s8[m x k] * (B_u8[k x n] - zp))).
 /// A is row-major with leading dimension lda and symmetric scales
 /// (`a_scale_count` == m for per-channel, 1 for per-tensor); B is row-major
-/// uint8 with per-tensor affine `b_params`; C is row-major float.
+/// uint8 with per-tensor affine `b_params`; C is row-major float. Requires
+/// k <= 66311, the largest K whose int32 sums cannot overflow
+/// (k * 255 * 127 < 2^31), and a zero point in [0, 255]; otherwise throws.
 void qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
            const std::int8_t* a, std::int64_t lda, const float* a_scales,
            std::int64_t a_scale_count, const std::uint8_t* b,

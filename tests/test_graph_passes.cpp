@@ -244,8 +244,8 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
 // The executor, the module stack and QuantizedSppNet compute every layer
 // through the same nn/ forward functions, so the naive and the optimized
 // graph both reproduce SppNet::forward (fp32) and QuantizedSppNet::forward
-// (int8) bit for bit. Batch 9 splits unevenly over 4 threads
-// (for_each_sample's partition); the cascade screener adds a stride-2 stem.
+// (int8) bit for bit. Batch 9 spreads unevenly over 4 threads
+// (for_each_sample's tasks); the cascade screener adds a stride-2 stem.
 TEST(Numerics, ExecutorMatchesTheRealModels) {
   constexpr std::int64_t kSize = 48;
   nas::SearchPoint point;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "profiler/counters.hpp"
@@ -34,6 +35,14 @@ using kernels::TileTuner;
 struct ThreadGuard {
   explicit ThreadGuard(int n) { set_num_threads(n); }
   ~ThreadGuard() { set_num_threads(0); }
+};
+
+// Runs a test body on each variant's default tile: tuning only picks among
+// tiles every one of which is bit-exact (the tile sweep below), and a cold
+// tune per variant and shape class is most of these tests' time under ASan.
+struct TunerOff {
+  TunerOff() { TileTuner::global().set_enabled(false); }
+  ~TunerOff() { TileTuner::global().set_enabled(true); }
 };
 
 // Every test runs against a private tuner cache directory so the suite
@@ -79,6 +88,45 @@ std::vector<float> random_matrix(std::int64_t rows, std::int64_t cols,
   return m;
 }
 
+// Random s8 weights in [-127, 127] and u8 activations.
+struct QgemmOperands {
+  std::vector<std::int8_t> a;
+  std::vector<std::uint8_t> b;
+  std::vector<float> scales;
+  std::vector<float> bias;
+};
+
+QgemmOperands random_qgemm_operands(std::int64_t m, std::int64_t n,
+                                    std::int64_t k, Rng& rng) {
+  QgemmOperands q;
+  q.a.resize(static_cast<std::size_t>(m * k));
+  q.b.resize(static_cast<std::size_t>(k * n));
+  q.scales.resize(static_cast<std::size_t>(m));
+  q.bias.resize(static_cast<std::size_t>(m));
+  for (auto& v : q.a) {
+    v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+  }
+  for (auto& v : q.b) {
+    v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  for (auto& s : q.scales) {
+    s = 0.01f + 0.001f * static_cast<float>(rng.normal());
+  }
+  for (auto& v : q.bias) v = static_cast<float>(rng.normal());
+  return q;
+}
+
+// qgemm under the current variant/tile; C starts poisoned so an unwritten
+// element shows.
+std::vector<float> run_qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
+                             const QgemmOperands& q, const QuantParams& bp,
+                             const QuantEpilogue& ep) {
+  std::vector<float> c(static_cast<std::size_t>(m * n), -1.0f);
+  qgemm(m, n, k, q.a.data(), k, q.scales.data(), m, q.b.data(), n, bp,
+        c.data(), n, ep);
+  return c;
+}
+
 // ---------------------------------------------------------------- registry
 
 TEST_F(KernelsTest, RegistryListsGenericFirstAndActiveIsSupported) {
@@ -106,7 +154,8 @@ TEST_F(KernelsTest, EveryVariantRegistersCompleteKernelSet) {
     const auto* v = reg.find(name);
     ASSERT_NE(v, nullptr) << name;
     EXPECT_FALSE(v->sgemm.empty()) << name;
-    EXPECT_NE(v->qgemm_row, nullptr) << name;
+    EXPECT_FALSE(v->qgemm.empty()) << name;
+    EXPECT_NE(v->qdot, nullptr) << name;
     EXPECT_NE(v->accumulate, nullptr) << name;
     EXPECT_NE(v->quantize_u8, nullptr) << name;
     EXPECT_NE(v->quantize_s8, nullptr) << name;
@@ -114,6 +163,13 @@ TEST_F(KernelsTest, EveryVariantRegistersCompleteKernelSet) {
     EXPECT_NE(v->reduce_max, nullptr) << name;
     EXPECT_NE(v->reduce_min, nullptr) << name;
     for (const auto& k : v->sgemm) {
+      EXPECT_GE(k.mr, 1);
+      EXPECT_LE(k.mr, kernels::kMaxMr);
+      EXPECT_GE(k.nr, 1);
+      EXPECT_LE(k.nr, kernels::kMaxNr);
+      EXPECT_NE(k.fn, nullptr);
+    }
+    for (const auto& k : v->qgemm) {
       EXPECT_GE(k.mr, 1);
       EXPECT_LE(k.mr, kernels::kMaxMr);
       EXPECT_GE(k.nr, 1);
@@ -359,6 +415,37 @@ TEST_F(KernelsTest, CorruptedCacheEntryFallsBackToRetune) {
                            first.size() * sizeof(float)));
 }
 
+TEST_F(KernelsTest, StaleQgemmRowTileEntryFallsBackToRetune) {
+  // Before packed qgemm tiles, a 'q' entry held only an accumulator row
+  // count (mr=4, nr=0, no blocking). No variant registers such a tile, so
+  // the entry must be rejected and the class re-tuned.
+  TileTuner& tuner = TileTuner::global();
+  const kernels::KernelVariant& v = KernelRegistry::global().active();
+  Rng rng(94);
+  const int m = 150, n = 270, k = 310;
+  const QgemmOperands q = random_qgemm_operands(m, n, k, rng);
+  QuantParams bp;
+  bp.scale = 0.02f;
+  bp.zero_point = 9;
+  const auto first = run_qgemm(m, n, k, q, bp, QuantEpilogue{});
+  const std::string key = TileTuner::cache_key(v, 'q', m, n, k);
+  const std::string path = tuner.entry_path(key);
+  ASSERT_TRUE(std::filesystem::exists(path)) << path;
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "dcn-tile-cache-v1\nkey=" << key
+        << "\nmr=4\nnr=0\nmc=0\nnc=0\nkc=256\nms=1\n";
+  }
+  tuner.clear_memory();
+  tuner.reset_stats();
+  const auto second = run_qgemm(m, n, k, q, bp, QuantEpilogue{});
+  const auto stats = tuner.stats();
+  EXPECT_GE(stats.corrupt_entries, 1);
+  EXPECT_GE(stats.tuned, 1);
+  EXPECT_EQ(0, std::memcmp(first.data(), second.data(),
+                           first.size() * sizeof(float)));
+}
+
 TEST_F(KernelsTest, DisabledTunerUsesVariantDefaultWithoutTouchingCache) {
   TileTuner& tuner = TileTuner::global();
   tuner.set_enabled(false);
@@ -395,41 +482,126 @@ TEST_F(KernelsTest, CacheKeyBucketsShapesIntoClasses) {
 // ----------------------------------------------------------------- qgemm --
 
 TEST_F(KernelsTest, QgemmEveryVariantBitExactAgainstReference) {
+  // One shape that runs inline, one split into 3 x 2 packed tasks and one
+  // batch-1 shape split into dot-product bands: the last two are large
+  // enough to run on the compute pool at threads = 4.
   KernelRegistry& reg = KernelRegistry::global();
-  Rng rng(44);
-  const int m = 37, n = 113, k = 71;
-  std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k);
-  std::vector<std::uint8_t> b(static_cast<std::size_t>(k) * n);
-  for (auto& v : a) {
-    v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+  const TunerOff tuner_off;
+  const struct {
+    int m, n, k;
+  } shapes[] = {{37, 113, 71}, {129, 300, 71}, {300, 1, 7001}};
+  for (const auto& s : shapes) {
+    Rng rng(static_cast<std::uint64_t>(44 + s.m + s.n + s.k));
+    const QgemmOperands q = random_qgemm_operands(s.m, s.n, s.k, rng);
+    QuantParams bp;
+    bp.scale = 0.02f;
+    bp.zero_point = 131;
+    QuantEpilogue ep;
+    ep.row_bias = q.bias.data();
+    ep.relu = true;
+    std::vector<float> ref(static_cast<std::size_t>(s.m) * s.n, 0.0f);
+    qgemm_reference(s.m, s.n, s.k, q.a.data(), s.k, q.scales.data(), s.m,
+                    q.b.data(), s.n, bp, ref.data(), s.n, ep);
+    for (const auto& name : reg.variant_names()) {
+      if (!reg.variant_supported(name)) continue;
+      KernelRegistry::ScopedForce force(name);
+      ASSERT_TRUE(force.ok());
+      for (int threads : {1, 4}) {
+        ThreadGuard guard(threads);
+        const auto c = run_qgemm(s.m, s.n, s.k, q, bp, ep);
+        EXPECT_EQ(0, std::memcmp(ref.data(), c.data(),
+                                 ref.size() * sizeof(float)))
+            << name << " threads=" << threads << " at " << s.m << 'x' << s.n
+            << 'x' << s.k;
+      }
+    }
   }
-  for (auto& v : b) {
-    v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+}
+
+TEST_F(KernelsTest, QgemmEveryTileBitExactOnEdgeShapes) {
+  // Every variant x every registered qgemm tile, forced the way
+  // AllTunableTilesBitIdentical forces sgemm tiles, on shapes that leave
+  // partial tiles, partial K-groups (k % 4 != 0), the n == 1 dot-product
+  // path and single rows; at zero points 0 / mid / 255 and every epilogue.
+  KernelRegistry& reg = KernelRegistry::global();
+  const int ms[] = {1, 7, 64, 129};
+  const int ns[] = {1, 2, 17, 113};
+  const int ks[] = {1, 3, 36, 71};
+  const int zps[] = {0, 131, 255};
+  Rng rng(45);
+  for (const int m : ms) {
+    for (const int n : ns) {
+      for (const int k : ks) {
+        const QgemmOperands q = random_qgemm_operands(m, n, k, rng);
+        for (const int zp : zps) {
+          QuantParams bp;
+          bp.scale = 0.02f;
+          bp.zero_point = zp;
+          for (int epi = 0; epi < 3; ++epi) {
+            QuantEpilogue ep;
+            if (epi >= 1) ep.row_bias = q.bias.data();
+            ep.relu = epi == 2;
+            std::vector<float> ref(static_cast<std::size_t>(m) * n);
+            qgemm_reference(m, n, k, q.a.data(), k, q.scales.data(), m,
+                            q.b.data(), n, bp, ref.data(), n, ep);
+            for (const auto& name : reg.variant_names()) {
+              if (!reg.variant_supported(name)) continue;
+              KernelRegistry::ScopedForce force(name);
+              ASSERT_TRUE(force.ok());
+              for (const auto& tile : reg.active().qgemm) {
+                TileTuner::ScopedForcedTile forced(tile.mr, tile.nr);
+                for (int threads : {1, 4}) {
+                  ThreadGuard guard(threads);
+                  const auto c = run_qgemm(m, n, k, q, bp, ep);
+                  ASSERT_EQ(0, std::memcmp(ref.data(), c.data(),
+                                           ref.size() * sizeof(float)))
+                      << name << " tile " << tile.mr << 'x' << tile.nr
+                      << " at " << m << 'x' << n << 'x' << k << " zp=" << zp
+                      << " epilogue=" << epi << " threads=" << threads;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
   }
-  std::vector<float> scales(static_cast<std::size_t>(m));
-  for (auto& s : scales) s = 0.01f + 0.001f * static_cast<float>(rng.normal());
-  QuantParams bp;
-  bp.scale = 0.02f;
-  bp.zero_point = 131;
-  std::vector<float> bias(static_cast<std::size_t>(m), 0.25f);
-  QuantEpilogue ep;
-  ep.row_bias = bias.data();
-  ep.relu = true;
-  std::vector<float> ref(static_cast<std::size_t>(m) * n, 0.0f);
-  qgemm_reference(m, n, k, a.data(), k, scales.data(), m, b.data(), n, bp,
-                  ref.data(), n, ep);
-  for (const auto& name : reg.variant_names()) {
-    if (!reg.variant_supported(name)) continue;
-    KernelRegistry::ScopedForce force(name);
-    ASSERT_TRUE(force.ok());
-    for (int threads : {1, 4}) {
-      ThreadGuard guard(threads);
-      std::vector<float> c(static_cast<std::size_t>(m) * n, -1.0f);
-      qgemm(m, n, k, a.data(), k, scales.data(), m, b.data(), n, bp, c.data(),
-            n, ep);
-      EXPECT_EQ(0, std::memcmp(ref.data(), c.data(), ref.size() *
-                                                         sizeof(float)))
-          << name << " threads=" << threads;
+}
+
+TEST_F(KernelsTest, QgemmExactUpToMaxKAndRejectsLarger) {
+  // k = 66311 is the largest K with k * 255 * 127 < 2^31: the extreme
+  // operands (every product -127 * 255) reach the int32 limit exactly
+  // there, with and without the zero-point correction. One more step would
+  // overflow the accumulators, so qgemm refuses it.
+  KernelRegistry& reg = KernelRegistry::global();
+  const TunerOff tuner_off;
+  const std::int64_t m = 2, k = 66311;
+  std::vector<std::int8_t> a(static_cast<std::size_t>(m * (k + 1)), -127);
+  std::vector<std::uint8_t> b(static_cast<std::size_t>((k + 1) * 2), 255);
+  const std::vector<float> scales(static_cast<std::size_t>(m), 1.0e-9f);
+  for (const std::int64_t n : {1, 2}) {
+    for (const int zp : {0, 255}) {
+      QuantParams bp;
+      bp.scale = 1.0f;
+      bp.zero_point = zp;
+      std::vector<float> ref(static_cast<std::size_t>(m * n));
+      qgemm_reference(m, n, k, a.data(), k, scales.data(), m, b.data(), n,
+                      bp, ref.data(), n);
+      for (const auto& name : reg.variant_names()) {
+        if (!reg.variant_supported(name)) continue;
+        KernelRegistry::ScopedForce force(name);
+        ASSERT_TRUE(force.ok());
+        std::vector<float> c(static_cast<std::size_t>(m * n), -1.0f);
+        qgemm(m, n, k, a.data(), k, scales.data(), m, b.data(), n, bp,
+              c.data(), n);
+        EXPECT_EQ(0, std::memcmp(ref.data(), c.data(),
+                                 ref.size() * sizeof(float)))
+            << name << " n=" << n << " zp=" << zp;
+      }
+      std::vector<float> c(static_cast<std::size_t>(m * n));
+      EXPECT_THROW(qgemm(m, n, k + 1, a.data(), k + 1, scales.data(), m,
+                         b.data(), n, bp, c.data(), n),
+                   Error);
     }
   }
 }

@@ -82,7 +82,7 @@ TEST(WallTimer, MeasuresElapsedTime) {
   WallTimer timer;
   // Busy-wait a tiny amount of real time.
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += i * 1e-9;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i * 1e-9;
   EXPECT_GT(timer.seconds(), 0.0);
   EXPECT_GT(timer.milliseconds(), 0.0);
   const double before = timer.seconds();

@@ -9,6 +9,7 @@
 // parallel regions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -112,6 +113,64 @@ TEST(ParallelCore, ConcurrentSetAndGetNumThreadsIsClean) {
   for (auto& thread : threads) thread.join();
   EXPECT_GE(observed_min.load(), 1);
   set_num_threads(0);  // restore the hardware default for other tests
+}
+
+// --- Compute tasks -----------------------------------------------------------
+
+TEST(ComputeTasks, ManyTasksRunOnceEachOnAtMostComputeThreads) {
+  set_num_threads(3);
+  constexpr int kTasks = 64;
+  std::vector<std::atomic<int>> runs(kTasks);
+  std::vector<std::thread::id> ran_on(kTasks);
+  std::atomic<int> flagged{0};
+  run_compute_tasks(kTasks, [&](int t) {
+    runs[static_cast<std::size_t>(t)].fetch_add(1);
+    ran_on[static_cast<std::size_t>(t)] = std::this_thread::get_id();
+    if (in_compute_worker()) flagged.fetch_add(1);
+  });
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+  std::vector<std::thread::id> distinct = ran_on;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  EXPECT_LE(distinct.size(), 3u);
+  // The caller's tasks are flagged too: their nested launches run inline.
+  EXPECT_EQ(flagged.load(), kTasks);
+  EXPECT_FALSE(in_compute_worker());
+  set_num_threads(0);
+}
+
+TEST(ComputeTasks, NestedLaunchesRunInlineOnEveryThread) {
+  set_num_threads(4);
+  std::atomic<int> nested_elsewhere{0};
+  std::atomic<int> nested_runs{0};
+  run_compute_tasks(4, [&](int) {
+    const std::thread::id outer = std::this_thread::get_id();
+    run_compute_tasks(8, [&](int) {
+      nested_runs.fetch_add(1);
+      if (std::this_thread::get_id() != outer) nested_elsewhere.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(nested_runs.load(), 32);
+  EXPECT_EQ(nested_elsewhere.load(), 0);
+  set_num_threads(0);
+}
+
+TEST(ComputeTasks, EveryTaskRunsAndTheLowestFailingTaskIsRethrown) {
+  set_num_threads(4);
+  std::atomic<int> ran{0};
+  try {
+    run_compute_tasks(16, [&](int t) {
+      ran.fetch_add(1);
+      if (t == 11 || t == 5) throw Error("task " + std::to_string(t));
+    });
+    ADD_FAILURE() << "run_compute_tasks swallowed the task exceptions";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("task 5"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ran.load(), 16);
+  set_num_threads(0);
 }
 
 // --- Parallel runner determinism -------------------------------------------

@@ -35,7 +35,9 @@ TEST(ApiUsage, SharesSumToOneAndSortDescending) {
   double total_share = 0.0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     total_share += rows[i].share;
-    if (i > 0) EXPECT_LE(rows[i].total_seconds, rows[i - 1].total_seconds);
+    if (i > 0) {
+      EXPECT_LE(rows[i].total_seconds, rows[i - 1].total_seconds);
+    }
   }
   EXPECT_NEAR(total_share, 1.0, 1e-9);
   EXPECT_EQ(rows.front().kind, ApiKind::kLibraryLoadData);
@@ -44,7 +46,9 @@ TEST(ApiUsage, SharesSumToOneAndSortDescending) {
 TEST(ApiUsage, CallCountsAggregated) {
   const auto rows = api_usage(sample_recorder());
   for (const ApiUsageRow& row : rows) {
-    if (row.kind == ApiKind::kLaunchKernel) EXPECT_EQ(row.calls, 2);
+    if (row.kind == ApiKind::kLaunchKernel) {
+      EXPECT_EQ(row.calls, 2);
+    }
   }
 }
 

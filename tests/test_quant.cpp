@@ -176,8 +176,8 @@ QgemmProblem make_problem(std::int64_t m, std::int64_t n, std::int64_t k,
 }
 
 TEST(QgemmTest, BlockedMatchesReferenceBitExact) {
-  // Sizes spanning one partial band, exactly one band, and multiple bands
-  // (kQBandRows = 64), with the fused bias+ReLU epilogue on.
+  // Sizes spanning one partial 64-row task, exactly one, and several, plus
+  // the n == 1 dot-product path, with the fused bias+ReLU epilogue on.
   const std::int64_t sizes[][3] = {
       {1, 1, 1}, {7, 5, 3}, {64, 17, 9}, {130, 33, 27}, {200, 8, 150}};
   for (const auto& s : sizes) {

@@ -85,7 +85,9 @@ TEST(Traffic, DeterministicAndOrdered) {
     EXPECT_DOUBLE_EQ(a[i].arrival, b[i].arrival);
     EXPECT_GE(a[i].arrival, 0.0);
     EXPECT_LT(a[i].arrival, config.duration);
-    if (i > 0) EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival, a[i - 1].arrival);
+    }
     EXPECT_TRUE(std::isinf(a[i].deadline));  // no deadline configured
   }
 }
