@@ -1,6 +1,7 @@
 // Micro benchmarks for the nn layers at SPP-Net shapes: conv forward and
-// backward, pooling, the SPP layer across pyramid depths, and a full
-// forward/backward step of the original model.
+// backward, pooling (the module and the inference pool), the SPP layer
+// across pyramid depths, and the original model's eval forward and full
+// forward/backward step.
 #include <benchmark/benchmark.h>
 
 #include "core/rng.hpp"
@@ -60,6 +61,23 @@ void BM_MaxPool(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxPool)->Unit(benchmark::kMillisecond);
 
+// The inference pool (no argmax) at the scan's conv0 output, batch 32 at
+// 48 px, on seeded random input: BM_MaxPool's constant input ties every
+// window.
+void BM_MaxPoolInfer(benchmark::State& state) {
+  Rng rng(1);
+  Tensor x(Shape{32, 64, 48, 48});
+  x.fill_normal(rng, 0.0f, 1.0f);
+  for (auto _ : state) {
+    Tensor y = max_pool2d(x, 2, 2);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * x.numel() *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_MaxPoolInfer)->Unit(benchmark::kMillisecond);
+
 void BM_SppForward(benchmark::State& state) {
   const auto levels =
       spp_levels_from_first(static_cast<std::int64_t>(state.range(0)));
@@ -77,15 +95,22 @@ void BM_SppNetForward(benchmark::State& state) {
   Rng rng(1);
   detect::SppNet model(detect::original_sppnet(), rng);
   model.set_training(false);
-  const std::int64_t size = state.range(0);
-  Tensor x(Shape{1, 4, size, size}, 0.5f);
+  const std::int64_t batch = state.range(0);
+  const std::int64_t size = state.range(1);
+  Tensor x(Shape{batch, 4, size, size});
+  x.fill_normal(rng, 0.0f, 1.0f);
   for (auto _ : state) {
     Tensor y = model.forward(x);
     benchmark::DoNotOptimize(y.data());
   }
 }
-// SPP accepts any input size; cost scales with area.
-BENCHMARK(BM_SppNetForward)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
+// SPP accepts any input size; cost scales with area. Batch 32 at 48 px is
+// the scan's batch.
+BENCHMARK(BM_SppNetForward)
+    ->Args({1, 50})
+    ->Args({1, 100})
+    ->Args({32, 48})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SppNetTrainStep(benchmark::State& state) {
   Rng rng(1);

@@ -5,12 +5,13 @@
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
+#include "nn/spp.hpp"
 
 namespace dcn::detect {
 
 QuantizedSppNet::QuantizedSppNet(SppNet& net, const Tensor& calibration,
                                  const CalibrationOptions& options)
-    : config_(net.config()), spp_(config_.spp_levels) {
+    : config_(net.config()) {
   DCN_CHECK(calibration.rank() == 4 && calibration.dim(0) > 0)
       << "calibration batch must be non-empty NCHW, got "
       << calibration.shape().to_string();
@@ -59,7 +60,7 @@ QuantizedSppNet::QuantizedSppNet(SppNet& net, const Tensor& calibration,
     }
     x = layer.forward(x);
   }
-  x = spp_.forward(x);
+  x = spp_forward(x, config_.spp_levels);
   Sequential& head = net.head();
   for (std::size_t i = 0; i < head.size(); ++i) {
     Module& layer = head.layer(i);
@@ -84,7 +85,7 @@ Tensor QuantizedSppNet::forward(const Tensor& input) {
                                          op.padding, q.relu)
                    : max_pool2d(x, op.kernel, op.stride);
   }
-  x = spp_.forward(x);
+  x = spp_forward(x, config_.spp_levels);
   for (const QLayer& q : head_) {
     x = linear_forward_int8(x, q.weights, q.bias.data(), q.input_params,
                             q.relu);

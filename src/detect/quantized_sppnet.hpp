@@ -74,7 +74,6 @@ class QuantizedSppNet : public Module {
 
   SppNetConfig config_;
   std::vector<TrunkOp> trunk_;
-  SpatialPyramidPool spp_;
   std::vector<QLayer> head_;
   std::vector<QuantParams> activation_params_;
 };

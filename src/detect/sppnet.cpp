@@ -50,12 +50,53 @@ void init_detection_head(Linear& final_layer) {
 }
 
 Tensor SppNet::forward(const Tensor& input) {
+  backward_ready_ = false;
+  if (!is_training()) return infer(input);
   const Tensor features = trunk_.forward(input);
   const Tensor pooled = spp_.forward(features);
-  return head_.forward(pooled);
+  Tensor output = head_.forward(pooled);
+  backward_ready_ = true;
+  return output;
+}
+
+Tensor SppNet::infer(const Tensor& input) {
+  // A ReLU module after a conv or linear layer folds into its epilogue.
+  const auto relu_follows = [](Sequential& layers, std::size_t i) {
+    return i + 1 < layers.size() &&
+           dynamic_cast<ReLU*>(&layers.layer(i + 1)) != nullptr;
+  };
+  Tensor x;
+  for (std::size_t i = 0; i < trunk_.size(); ++i) {
+    const Tensor& in = i == 0 ? input : x;
+    Module& layer = trunk_.layer(i);
+    if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
+      const bool relu = relu_follows(trunk_, i);
+      x = conv2d_forward(in, conv->weight(), conv->bias().data(),
+                         conv->stride(), conv->padding(), relu);
+      if (relu) ++i;
+    } else if (auto* pool = dynamic_cast<MaxPool2d*>(&layer)) {
+      x = max_pool2d(in, pool->kernel_size(), pool->stride());
+    } else {
+      throw Error("SppNet eval forward: unsupported trunk layer " +
+                  layer.name());
+    }
+  }
+  x = spp_forward(x, spp_.levels());
+  for (std::size_t i = 0; i < head_.size(); ++i) {
+    auto* linear = dynamic_cast<Linear*>(&head_.layer(i));
+    DCN_CHECK(linear != nullptr) << "SppNet eval forward: unsupported head "
+                                 << "layer " << head_.layer(i).name();
+    const bool relu = relu_follows(head_, i);
+    x = linear_forward(x, linear->weight(), linear->bias().data(), relu);
+    if (relu) ++i;
+  }
+  return x;
 }
 
 Tensor SppNet::backward(const Tensor& grad_output) {
+  DCN_CHECK(backward_ready_)
+      << "SppNet::backward needs a training-mode forward first; an eval "
+         "forward keeps no backward state";
   const Tensor g_pooled = head_.backward(grad_output);
   const Tensor g_features = spp_.backward(g_pooled);
   return trunk_.backward(g_features);

@@ -35,7 +35,17 @@ class SppNet : public Module {
  public:
   SppNet(SppNetConfig config, Rng& rng);
 
-  Tensor forward(const Tensor& input) override;   // [N,C,H,W] -> [N,5]
+  /// [N,C,H,W] -> [N,5]. In training mode the layer modules run in turn and
+  /// cache what backward needs. In eval mode the net runs the lowering
+  /// graph::NumericExecutor runs for the same layers — conv2d_forward and
+  /// linear_forward with the following ReLU fused into the GEMM epilogue,
+  /// max_pool2d and spp_forward with no argmax — and writes no backward
+  /// state. The two paths agree bit for bit unless a pre-activation is NaN
+  /// or -0: the ReLU module maps those to +0, the fused epilogue passes
+  /// them through.
+  Tensor forward(const Tensor& input) override;
+  /// Throws unless the last forward ran in training mode: an eval forward
+  /// leaves the layer caches of an earlier training batch in place.
   Tensor backward(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
   std::string name() const override { return "SppNet"; }
@@ -56,10 +66,13 @@ class SppNet : public Module {
   std::vector<Prediction> predict(const Tensor& input);
 
  private:
+  Tensor infer(const Tensor& input);
+
   SppNetConfig config_;
   Sequential trunk_;
   SpatialPyramidPool spp_;
   Sequential head_;
+  bool backward_ready_ = false;  // the last forward ran in training mode
 };
 
 }  // namespace dcn::detect

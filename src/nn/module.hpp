@@ -45,7 +45,8 @@ class Module {
   /// Layer type name for diagnostics ("Conv2d", "SPP", ...).
   virtual std::string name() const = 0;
 
-  /// Toggle training mode (affects Dropout only).
+  /// Toggle training mode. Dropout draws masks and SppNet keeps backward
+  /// state only in training mode.
   virtual void set_training(bool training) { training_ = training; }
   bool is_training() const { return training_; }
 

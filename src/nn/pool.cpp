@@ -1,16 +1,26 @@
 #include "nn/pool.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 
 namespace dcn {
 namespace {
 
+// Input floats per pool task. The plane split depends on the shape alone,
+// never on the thread count, and a pool smaller than one task runs inline.
+constexpr std::int64_t kPoolTaskFloats = std::int64_t{1} << 16;
+
 // The one max-pool loop: output cell (oy, ox) of every [N, C] plane is the
 // max over input rows rows(oy) x columns cols(ox), each a half-open
-// [start, end) range. Ties keep the first maximum in row-major order.
+// [start, end) range, compared in row-major order, so a NaN never wins and
+// ties keep the first maximum. The planes split into contiguous runs, one
+// compute task each; a plane is computed the same on any thread, so the
+// output and argmax are bit-identical at any thread count.
 template <typename RowWindow, typename ColWindow>
 Tensor pool_windows(const Tensor& input, std::int64_t oh, std::int64_t ow,
                     const RowWindow& rows, const ColWindow& cols,
@@ -24,30 +34,46 @@ Tensor pool_windows(const Tensor& input, std::int64_t oh, std::int64_t ow,
     argmax->assign(static_cast<std::size_t>(output.numel()), 0);
     best_at = argmax->data();
   }
-  float* out = output.data();
-  for (std::int64_t p = 0; p < planes; ++p) {
+  // Inference passes no argmax and skips the index bookkeeping.
+  const auto pool_plane = [&](std::int64_t p, auto track) {
+    constexpr bool kTrack = decltype(track)::value;
     const std::int64_t plane_base = p * h * w;
     const float* plane = input.data() + plane_base;
+    float* out = output.data() + p * oh * ow;
     for (std::int64_t oy = 0; oy < oh; ++oy) {
       const auto [y0, y1] = rows(oy);
       for (std::int64_t ox = 0; ox < ow; ++ox) {
         const auto [x0, x1] = cols(ox);
         float best = -std::numeric_limits<float>::infinity();
-        std::int64_t best_idx = y0 * w + x0;
+        [[maybe_unused]] std::int64_t best_idx = y0 * w + x0;
         for (std::int64_t iy = y0; iy < y1; ++iy) {
           for (std::int64_t ix = x0; ix < x1; ++ix) {
             const float v = plane[iy * w + ix];
             if (v > best) {
               best = v;
-              best_idx = iy * w + ix;
+              if constexpr (kTrack) best_idx = iy * w + ix;
             }
           }
         }
+        if constexpr (kTrack) {
+          best_at[out - output.data()] = plane_base + best_idx;
+        }
         *out++ = best;
-        if (best_at != nullptr) *best_at++ = plane_base + best_idx;
       }
     }
-  }
+  };
+  const std::int64_t tasks = std::min(
+      planes, std::max<std::int64_t>(1, input.numel() / kPoolTaskFloats));
+  run_compute_tasks(static_cast<int>(tasks), [&](int t) {
+    const auto [first, last] = chunk_range(planes, tasks, t);
+    for (std::int64_t p = first; p < last; ++p) {
+      if (best_at != nullptr) {
+        pool_plane(p, std::true_type{});
+      } else {
+        pool_plane(p, std::false_type{});
+      }
+    }
+  });
   return output;
 }
 

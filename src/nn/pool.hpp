@@ -16,7 +16,9 @@ namespace dcn {
 /// Max over square `kernel` windows at `stride`, no padding:
 /// [N, C, H, W] -> [N, C, (H-k)/s+1, (W-k)/s+1]. When `argmax` is set it is
 /// resized to the output's size and receives each output's flat input index,
-/// which backward routes the gradient through; inference passes none.
+/// which backward routes the gradient through; inference passes none. The
+/// N*C planes spread over the compute pool in a split set by the shape
+/// alone, so the output and argmax are bit-identical at any thread count.
 Tensor max_pool2d(const Tensor& input, std::int64_t kernel,
                   std::int64_t stride,
                   std::vector<std::int64_t>* argmax = nullptr);

@@ -1,8 +1,47 @@
 #include "nn/spp.hpp"
 
+#include <algorithm>
+
 #include "core/error.hpp"
 
 namespace dcn {
+namespace {
+
+// The pyramid layout: pool(i) -> [N, C, l_i, l_i] for each level l_i,
+// flattened and concatenated per sample in level order.
+template <typename PoolLevel>
+Tensor concat_levels(const Tensor& input,
+                     const std::vector<std::int64_t>& levels,
+                     const PoolLevel& pool) {
+  DCN_CHECK(input.rank() == 4) << "SPP expects NCHW, got "
+                               << input.shape().to_string();
+  const std::int64_t batch = input.dim(0);
+  const std::int64_t channels = input.dim(1);
+  std::int64_t total = 0;
+  for (std::int64_t l : levels) total += channels * l * l;
+  Tensor output(Shape{batch, total});
+  std::int64_t offset = 0;
+  for (std::size_t b = 0; b < levels.size(); ++b) {
+    const Tensor pooled = pool(b);
+    const std::int64_t feat = channels * levels[b] * levels[b];
+    for (std::int64_t n = 0; n < batch; ++n) {
+      const float* src = pooled.data() + n * feat;
+      std::copy(src, src + feat, output.data() + n * total + offset);
+    }
+    offset += feat;
+  }
+  return output;
+}
+
+}  // namespace
+
+Tensor spp_forward(const Tensor& input,
+                   const std::vector<std::int64_t>& levels) {
+  DCN_CHECK(!levels.empty()) << "SPP needs at least one pyramid level";
+  return concat_levels(input, levels, [&](std::size_t b) {
+    return adaptive_max_pool2d(input, levels[b], levels[b]);
+  });
+}
 
 std::vector<std::int64_t> spp_levels_from_first(std::int64_t first_level) {
   DCN_CHECK(first_level >= 1) << "SPP first level must be >= 1";
@@ -28,24 +67,10 @@ std::int64_t SpatialPyramidPool::features_per_channel() const {
 }
 
 Tensor SpatialPyramidPool::forward(const Tensor& input) {
-  DCN_CHECK(input.rank() == 4) << "SPP expects NCHW, got "
-                               << input.shape().to_string();
+  Tensor output = concat_levels(input, levels_, [&](std::size_t b) {
+    return pools_[b]->forward(input);
+  });
   input_shape_ = input.shape();
-  const std::int64_t batch = input.dim(0);
-  const std::int64_t channels = input.dim(1);
-
-  Tensor output(Shape{batch, output_features(channels)});
-  std::int64_t offset = 0;
-  for (std::size_t b = 0; b < pools_.size(); ++b) {
-    const Tensor pooled = pools_[b]->forward(input);  // [N, C, l, l]
-    const std::int64_t feat = channels * levels_[b] * levels_[b];
-    for (std::int64_t n = 0; n < batch; ++n) {
-      const float* src = pooled.data() + n * feat;
-      float* dst = output.data() + n * output_features(channels) + offset;
-      for (std::int64_t i = 0; i < feat; ++i) dst[i] = src[i];
-    }
-    offset += feat;
-  }
   return output;
 }
 

@@ -41,6 +41,13 @@ class SpatialPyramidPool : public Module {
   Shape input_shape_;
 };
 
+/// The inference pyramid: `input` [N, C, H, W] adaptive-max-pooled to each
+/// level's l x l grid with no argmax (adaptive_max_pool2d) and concatenated
+/// per sample in level order -> [N, C * sum(l^2)], the layout
+/// SpatialPyramidPool::forward produces.
+Tensor spp_forward(const Tensor& input,
+                   const std::vector<std::int64_t>& levels);
+
 /// The paper's pyramid convention: first level L plus fixed coarse levels
 /// {2, 1}; L in {1..5} per the NAS search space. L <= 2 degenerates to the
 /// unique levels {2, 1} or {1} accordingly (duplicates are kept distinct —

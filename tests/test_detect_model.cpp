@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "detect/fixed_cnn.hpp"
 #include "detect/imageops.hpp"
+#include "nas/search_space.hpp"
 #include "nn/checkpoint.hpp"
+#include "scan/screener.hpp"
 #include "tensor/ops.hpp"
 
 namespace dcn::detect {
@@ -115,6 +121,69 @@ TEST(SppNet, BackwardProducesInputShapedGradient) {
   const Tensor y = model.forward(x);
   const Tensor gx = model.backward(y);
   EXPECT_EQ(gx.shape(), x.shape());
+}
+
+TEST(SppNet, BackwardNeedsATrainingForward) {
+  Rng rng(1);
+  SppNet model(tiny_config(), rng);
+  Tensor x(Shape{2, 4, 16, 16}, 0.5f);
+  const Tensor grad(Shape{2, 5}, 1.0f);
+  EXPECT_THROW(model.backward(grad), Error);
+  (void)model.forward(x);
+  model.set_training(false);
+  (void)model.forward(x);
+  // The layer caches still hold the training batch; using them would
+  // silently differentiate it instead of the eval input.
+  EXPECT_THROW(model.backward(grad), Error);
+  model.set_training(true);
+  (void)model.forward(x);
+  EXPECT_EQ(model.backward(grad).shape(), x.shape());
+}
+
+// Restores the global thread override even when an assertion fails.
+struct ThreadGuard {
+  ~ThreadGuard() { set_num_threads(0); }
+};
+
+// Eval mode runs the fused lowering (ReLU in the GEMM epilogue, pools with
+// no argmax, no caches); training mode runs the modules one by one. Size 47
+// truncates in every pool. The inputs are finite: the fused epilogue passes
+// a NaN through where the ReLU module zeroes it.
+TEST(SppNet, EvalForwardBitIdenticalToTrainingForward) {
+  nas::SearchPoint point;
+  point.conv1_kernel = 3;
+  point.spp_first_level = 2;
+  point.fc_sizes = {64};
+  std::vector<SppNetConfig> configs = table1_models();
+  configs.push_back(scan::materialize_screener(point));
+  ThreadGuard guard;
+  for (const SppNetConfig& config : configs) {
+    Rng rng(3);
+    SppNet net(config, rng);
+    for (const std::int64_t size : {47, 48, 100}) {
+      for (const std::int64_t batch : {1, 9}) {
+        Tensor x(Shape{batch, 4, size, size});
+        x.fill_normal(rng, 0.0f, 1.0f);
+        // The training forward is bit-identical at any thread count
+        // (test_parallel_conv), so one reference serves both.
+        set_num_threads(4);
+        net.set_training(true);
+        const Tensor trained = net.forward(x);
+        net.set_training(false);
+        for (const int threads : {1, 4}) {
+          set_num_threads(threads);
+          const Tensor eval = net.forward(x);
+          ASSERT_EQ(eval.shape(), trained.shape());
+          EXPECT_EQ(std::memcmp(eval.data(), trained.data(),
+                                sizeof(float) *
+                                    static_cast<std::size_t>(eval.numel())),
+                    0)
+              << config.name << ", size " << size << ", batch " << batch
+              << ", threads " << threads;
+        }
+      }
+    }
+  }
 }
 
 TEST(FixedInputCnn, MatchingSizePassesThrough) {

@@ -243,7 +243,8 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
 
 // The executor, the module stack and QuantizedSppNet compute every layer
 // through the same nn/ forward functions, so the naive and the optimized
-// graph both reproduce SppNet::forward (fp32) and QuantizedSppNet::forward
+// graph both reproduce SppNet::forward (fp32) — the fused eval walk and the
+// unfused training-mode module stack alike — and QuantizedSppNet::forward
 // (int8) bit for bit. Batch 9 spreads unevenly over 4 threads
 // (for_each_sample's tasks); the cascade screener adds a stride-2 stem.
 TEST(Numerics, ExecutorMatchesTheRealModels) {
@@ -269,9 +270,15 @@ TEST(Numerics, ExecutorMatchesTheRealModels) {
       ThreadGuard guard;
       for (const int threads : {1, 4}) {
         set_num_threads(threads);
-        EXPECT_TRUE(bitwise_equal(executor.forward(x), net.forward(x)))
+        const Tensor fp32 = executor.forward(x);
+        EXPECT_TRUE(bitwise_equal(fp32, net.forward(x)))
             << config.name << " fp32, " << g.size() << " nodes, threads="
             << threads;
+        net.set_training(true);
+        EXPECT_TRUE(bitwise_equal(fp32, net.forward(x)))
+            << config.name << " fp32 vs training forward, " << g.size()
+            << " nodes, threads=" << threads;
+        net.set_training(false);
         EXPECT_TRUE(
             bitwise_equal(executor.forward_int8(x), quantized.forward(x)))
             << config.name << " int8, " << g.size() << " nodes, threads="

@@ -1,10 +1,14 @@
-// Determinism and correctness of the batch-parallel conv/linear path and
-// the workspace arena: jobs=1 vs jobs=N must be bit-identical in forward
-// outputs, gradients, and end-to-end trained weights, and gradcheck must
-// hold under threading.
+// Determinism and correctness of the batch-parallel conv/linear path, the
+// plane-parallel max pools and the workspace arena: jobs=1 vs jobs=N must be
+// bit-identical in forward outputs, pool argmaxes, gradients, and end-to-end
+// trained weights, and gradcheck must hold under threading.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/logging.hpp"
@@ -14,6 +18,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/linear.hpp"
+#include "nn/pool.hpp"
 #include "tensor/workspace.hpp"
 
 namespace dcn {
@@ -136,6 +141,130 @@ TEST(ParallelConv, LinearGradcheckHoldsUnderThreading) {
   EXPECT_TRUE(gin.ok) << gin.detail;
   const GradCheckResult gparam = check_parameter_gradients(lin, input);
   EXPECT_TRUE(gparam.ok) << gparam.detail;
+}
+
+// --- Max pools across thread counts -----------------------------------------
+
+using Window =
+    std::function<std::pair<std::int64_t, std::int64_t>(std::int64_t)>;
+
+// The pooling contract written out: output (oy, ox) of a plane is the max
+// over rows rows(oy) x columns cols(ox) in row-major order. A NaN never
+// wins, the first of equal maxima wins (-0 and +0 are equal), and a window
+// with nothing above -inf gives -inf at its first element; argmax holds the
+// winner's flat input index.
+Tensor naive_pool(const Tensor& x, std::int64_t oh, std::int64_t ow,
+                  const Window& rows, const Window& cols,
+                  std::vector<std::int64_t>& argmax) {
+  const std::int64_t h = x.dim(2);
+  const std::int64_t w = x.dim(3);
+  Tensor out(Shape{x.dim(0), x.dim(1), oh, ow});
+  argmax.assign(static_cast<std::size_t>(out.numel()), -1);
+  std::int64_t o = 0;
+  for (std::int64_t p = 0; p < x.dim(0) * x.dim(1); ++p) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox, ++o) {
+        const auto [y0, y1] = rows(oy);
+        const auto [x0, x1] = cols(ox);
+        float best = -std::numeric_limits<float>::infinity();
+        std::int64_t at = p * h * w + y0 * w + x0;
+        for (std::int64_t iy = y0; iy < y1; ++iy) {
+          for (std::int64_t ix = x0; ix < x1; ++ix) {
+            const std::int64_t i = p * h * w + iy * w + ix;
+            if (x[i] > best) {
+              best = x[i];
+              at = i;
+            }
+          }
+        }
+        out[o] = best;
+        argmax[static_cast<std::size_t>(o)] = at;
+      }
+    }
+  }
+  return out;
+}
+
+// Values from a small set, so windows tie (including -0 against +0), skip
+// NaNs and hold only -inf, plus one all-NaN block larger than any window.
+Tensor pool_input(const Shape& shape, std::uint64_t seed) {
+  const float kValues[] = {-1.0f, -0.0f, 0.0f, 0.5f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           -std::numeric_limits<float>::infinity()};
+  Rng rng(seed);
+  Tensor x(shape);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = kValues[rng.uniform_int(0, 5)];
+  }
+  const std::int64_t w = shape.dim(3);
+  for (std::int64_t iy = 5; iy < 13; ++iy) {
+    for (std::int64_t ix = 3; ix < 11; ++ix) x[iy * w + ix] = kValues[4];
+  }
+  return x;
+}
+
+struct PoolCase {
+  std::string name;
+  Shape shape;
+  std::int64_t kernel = 0;  // > 0: max_pool2d at `stride`; else adaptive
+  std::int64_t stride = 0;
+  std::int64_t out_h = 0;
+  std::int64_t out_w = 0;
+};
+
+TEST(ParallelPool, MatchesNaiveLoopAtAnyThreadCount) {
+  const PoolCase cases[] = {
+      // Two planes, each above one task's worth, on four threads.
+      {"fewer planes than threads", Shape{1, 2, 301, 299}, 3, 2, 0, 0},
+      {"odd sizes truncate", Shape{9, 16, 47, 45}, 2, 2, 0, 0},
+      {"overlapping windows", Shape{3, 11, 97, 89}, 3, 1, 0, 0},
+      // 47 rows into 5 bins and 45 columns into 4: neighbours share a row.
+      {"overlapping adaptive bins", Shape{9, 16, 47, 45}, 0, 0, 5, 4},
+      {"adaptive, fewer planes than threads", Shape{1, 3, 200, 230}, 0, 0, 3,
+       7},
+  };
+  for (const PoolCase& c : cases) {
+    const Tensor x = pool_input(c.shape, 71);
+    const std::int64_t h = c.shape.dim(2);
+    const std::int64_t w = c.shape.dim(3);
+    Window rows;
+    Window cols;
+    std::int64_t oh = c.out_h;
+    std::int64_t ow = c.out_w;
+    if (c.kernel > 0) {
+      oh = (h - c.kernel) / c.stride + 1;
+      ow = (w - c.kernel) / c.stride + 1;
+      rows = cols = [&c](std::int64_t o) {
+        return std::pair{o * c.stride, o * c.stride + c.kernel};
+      };
+    } else {
+      const auto bins = [](std::int64_t in, std::int64_t out) -> Window {
+        return [in, out](std::int64_t i) {
+          return std::pair{(i * in) / out, ((i + 1) * in + out - 1) / out};
+        };
+      };
+      rows = bins(h, oh);
+      cols = bins(w, ow);
+    }
+    std::vector<std::int64_t> want_argmax;
+    const Tensor want = naive_pool(x, oh, ow, rows, cols, want_argmax);
+    for (const int jobs : {1, 4}) {
+      ThreadGuard guard(jobs);
+      for (const bool with_argmax : {false, true}) {
+        std::vector<std::int64_t> argmax;
+        std::vector<std::int64_t>* out_argmax = with_argmax ? &argmax : nullptr;
+        const Tensor got =
+            c.kernel > 0 ? max_pool2d(x, c.kernel, c.stride, out_argmax)
+                         : adaptive_max_pool2d(x, oh, ow, out_argmax);
+        EXPECT_EQ(got.shape(), want.shape()) << c.name;
+        EXPECT_TRUE(bit_identical(got, want))
+            << c.name << ", jobs=" << jobs << ", argmax=" << with_argmax;
+        if (with_argmax) {
+          EXPECT_EQ(argmax, want_argmax) << c.name << ", jobs=" << jobs;
+        }
+      }
+    }
+  }
 }
 
 // --- Workspace arena --------------------------------------------------------
