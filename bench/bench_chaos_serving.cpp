@@ -131,17 +131,13 @@ int main(int argc, char** argv) {
                 "degrade to the INT8 pool under queue pressure (0 "
                 "disables)");
   flags.add_int("seed", 42, "traffic seed");
-  flags.add_bool("no-fuse", false,
-                 "serve the naive graph (skip the optimizer passes)");
   flags.add_string("json", "BENCH_chaos.json", "JSON export path");
   if (!flags.parse(argc, argv)) return 0;
 
   const auto spec = simgpu::a5500_spec();
   const detect::SppNetConfig model = pick_model(flags.get_int("candidate"));
-  const graph::Graph naive =
-      graph::build_inference_graph(model, flags.get_int("input"));
-  const graph::Graph g =
-      flags.get_bool("no-fuse") ? naive : graph::optimize_graph(naive);
+  const graph::Graph g = graph::optimize_graph(
+      graph::build_inference_graph(model, flags.get_int("input")));
   const int max_batch = static_cast<int>(flags.get_int("max-batch"));
   const int replicas = static_cast<int>(flags.get_int("replicas"));
   const int int8_replicas = static_cast<int>(flags.get_int("int8-replicas"));

@@ -1,15 +1,13 @@
-// Fusion benchmark: graph-optimizer passes vs the naive graph.
+// Fusion benchmark: the graph optimizer vs the naive graph.
 //
-// Claim under test (the tentpole of the optimizer-pass PR): running the
-// pattern registry — conv+ReLU / linear+ReLU fusion, constant folding,
-// flatten canonicalization, dead-op elimination — over the SPP-Net
-// inference graph removes at least 25% of the scheduled kernel launches
-// and strictly lowers end-to-end latency at fp32 and int8, while the IOS
-// scheduler consumes the fused graph directly. Numerical equivalence
-// (bit-identical fused vs unfused outputs) is pinned by
-// test_graph_passes; this bench measures the efficiency side and exports
-// BENCH_fusion.json for the CI regression gate. Exits non-zero when the
-// launch-reduction floor is missed.
+// Claim under test: the optimizer's sweep — conv+ReLU / linear+ReLU fusion
+// and Flatten folding — over the SPP-Net inference graph removes at least
+// 25% of the scheduled kernel launches and strictly lowers end-to-end
+// latency at fp32 and int8, while the IOS scheduler consumes the fused
+// graph directly. Numerical equivalence (bit-identical fused vs unfused
+// outputs) is pinned by test_graph_passes; this bench measures the
+// efficiency side and exports BENCH_fusion.json for the CI regression
+// gate. Exits non-zero when the launch-reduction floor is missed.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -63,8 +61,7 @@ int main(int argc, char** argv) {
 
   const graph::Graph naive =
       graph::build_inference_graph(model, flags.get_int("input"));
-  graph::PassStats stats;
-  const graph::Graph fused = graph::optimize_graph(naive, {}, &stats);
+  const graph::Graph fused = graph::optimize_graph(naive);
 
   const auto naive_launches = graph::device_op_count(naive);
   const auto fused_launches = graph::device_op_count(fused);
@@ -75,12 +72,7 @@ int main(int argc, char** argv) {
   std::printf("%s, input %lld, batch %lld (%s)\n", model.name.c_str(),
               static_cast<long long>(flags.get_int("input")),
               static_cast<long long>(batch), spec.name.c_str());
-  std::printf("optimizer: %d fixpoint iteration(s), %zu -> %zu ops\n",
-              stats.iterations, stats.ops_before, stats.ops_after);
-  for (const auto& [pass, rewrites] : stats.rewrites) {
-    if (rewrites > 0) std::printf("  %-20s %d rewrite(s)\n", pass.c_str(),
-                                  rewrites);
-  }
+  std::printf("optimizer: %zu -> %zu ops\n", naive.size(), fused.size());
 
   // End-to-end latency: each graph gets its own best IOS schedule at each
   // precision, exactly how the runner deploys them.

@@ -86,19 +86,15 @@ int main(int argc, char** argv) {
   flags.add_string("faults", "", "fault plan spec (empty = fault-free)");
   flags.add_int("fault-seed", 7, "fault injector seed");
   flags.add_int("seed", 1, "traffic seed");
-  flags.add_bool("no-fuse", false,
-                 "serve the naive graph (skip the optimizer passes)");
   flags.add_string("json", "BENCH_serving.json", "JSON export path");
   if (!flags.parse(argc, argv)) return 0;
 
   const auto spec = simgpu::a5500_spec();
   const detect::SppNetConfig model = pick_model(flags.get_int("candidate"));
-  const graph::Graph naive =
-      graph::build_inference_graph(model, flags.get_int("input"));
-  // Both servers serve the optimized (fused) graph unless --no-fuse asks
-  // for the A/B baseline; the batching comparison itself is orthogonal.
-  const graph::Graph g =
-      flags.get_bool("no-fuse") ? naive : graph::optimize_graph(naive);
+  // Both servers serve the optimized (fused) graph; the batching
+  // comparison itself is orthogonal to fusion.
+  const graph::Graph g = graph::optimize_graph(
+      graph::build_inference_graph(model, flags.get_int("input")));
   const int max_batch = static_cast<int>(flags.get_int("max-batch"));
 
   // Each configuration gets its best IOS schedule for its batch size, as

@@ -146,10 +146,6 @@ void validate_shapes(const Graph& graph) {
         if (arity != 0) fail(node, "input must have no producers");
         break;
       }
-      case OpKind::kConstant: {
-        if (arity != 0) fail(node, "constant must have no producers");
-        break;
-      }
       case OpKind::kConv2d:
       case OpKind::kFusedConvReLU: {
         if (arity != 1) fail(node, "conv takes one input");

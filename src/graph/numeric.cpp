@@ -67,11 +67,6 @@ NumericExecutor::NumericExecutor(const Graph& graph, WeightMap weights)
   for (const OpNode& node : graph_.nodes()) {
     if (node.kind == OpKind::kInput) ++inputs;
     if (node.kind == OpKind::kOutput) ++outputs;
-    if (node.kind == OpKind::kConstant) {
-      throw ConfigError("NumericExecutor: op '" + node.name +
-                        "' is a folded Constant; the cost IR carries no "
-                        "constant tensor values to execute");
-    }
     if (is_conv_kind(node.kind)) {
       const auto it = weights_.find(node.name);
       if (it == weights_.end()) {
@@ -224,9 +219,6 @@ Tensor NumericExecutor::run(const Tensor& input, bool int8,
         output_id = node.id;
         break;
       }
-      case OpKind::kConstant:
-        // Rejected in the constructor.
-        break;
     }
   }
   const OpId result = output_id != kInvalidOp ? output_id : last_id;

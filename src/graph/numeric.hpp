@@ -3,7 +3,7 @@
 // NumericExecutor interprets a graph::Graph with real trained weights, so
 // the *same* DAG the IOS scheduler partitions and the simulated device
 // prices can also be run numerically — which is what lets tests prove that
-// the optimizer passes are semantics-preserving instead of assuming it.
+// the optimizer is semantics-preserving instead of assuming it.
 // The executor only walks the graph: every conv, linear and pool node is
 // computed by the same per-layer function the nn modules and
 // QuantizedSppNet call (conv2d_forward[_int8], linear_forward[_int8],
@@ -16,7 +16,7 @@
 // threading model").
 //
 // Weights bind by op name (the builder's conv<i> / fc<i> / head naming),
-// which the fusion passes preserve: a weight map extracted once serves the
+// which the optimizer preserves: a weight map extracted once serves the
 // naive graph, the optimized graph, and anything in between.
 #pragma once
 
@@ -44,15 +44,13 @@ using WeightMap = std::unordered_map<std::string, OpWeights>;
 
 /// Copy a trained SPP-Net's weights out under the graph builder's op names
 /// (conv0, conv1, ..., fc0, ..., head). The returned map binds to the naive
-/// inference graph and to any pass-optimized graph derived from it.
+/// inference graph and to the optimized graph derived from it.
 WeightMap extract_weights(detect::SppNet& net);
 
 class NumericExecutor {
  public:
   /// `graph` is copied; `weights` must cover every compute op by name with
   /// shapes matching the op's attributes (throws ConfigError otherwise).
-  /// Graphs containing Constant nodes are rejected: this cost IR does not
-  /// carry folded tensor values.
   NumericExecutor(const Graph& graph, WeightMap weights);
 
   /// fp32 inference: [N, C, H, W] -> the Output node's value, [N, ...].

@@ -1,424 +1,105 @@
 #include "graph/passes.hpp"
 
 #include <algorithm>
-
-#include "core/error.hpp"
+#include <utility>
+#include <vector>
 
 namespace dcn::graph {
-
-// --- MutableGraph -----------------------------------------------------------
-
-MutableGraph::MutableGraph(const Graph& graph)
-    : nodes_(graph.nodes()), alive_(graph.size(), true) {}
-
-std::size_t MutableGraph::live_count() const {
-  return static_cast<std::size_t>(
-      std::count(alive_.begin(), alive_.end(), true));
-}
-
-OpNode& MutableGraph::node(OpId id) {
-  DCN_CHECK(alive(id)) << "pass touched dead/invalid op id " << id;
-  return nodes_[static_cast<std::size_t>(id)];
-}
-
-const OpNode& MutableGraph::node(OpId id) const {
-  DCN_CHECK(alive(id)) << "pass touched dead/invalid op id " << id;
-  return nodes_[static_cast<std::size_t>(id)];
-}
-
-bool MutableGraph::alive(OpId id) const {
-  return id >= 0 && static_cast<std::size_t>(id) < nodes_.size() &&
-         alive_[static_cast<std::size_t>(id)];
-}
-
-std::vector<OpId> MutableGraph::live_ids() const {
-  std::vector<OpId> ids;
-  ids.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (alive_[i]) ids.push_back(static_cast<OpId>(i));
-  }
-  return ids;
-}
-
-std::vector<OpId> MutableGraph::consumers(OpId id) const {
-  std::vector<OpId> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!alive_[i]) continue;
-    const OpNode& n = nodes_[i];
-    if (std::find(n.inputs.begin(), n.inputs.end(), id) != n.inputs.end()) {
-      out.push_back(static_cast<OpId>(i));
-    }
-  }
-  return out;
-}
-
-bool MutableGraph::can_redirect(OpId from, OpId to) const {
-  if (from == to) return false;
-  for (OpId c : consumers(from)) {
-    const std::vector<OpId>& ins = node(c).inputs;
-    if (std::find(ins.begin(), ins.end(), to) != ins.end()) return false;
-  }
-  return true;
-}
-
-void MutableGraph::redirect(OpId from, OpId to) {
-  DCN_CHECK(alive(from) && alive(to)) << "redirect over dead ops";
-  DCN_CHECK(can_redirect(from, to))
-      << "redirect " << from << " -> " << to << " would duplicate an edge";
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!alive_[i]) continue;
-    for (OpId& in : nodes_[i].inputs) {
-      if (in == from) in = to;
-    }
-  }
-}
-
-void MutableGraph::erase(OpId id) {
-  DCN_CHECK(alive(id)) << "erase of dead/invalid op id " << id;
-  DCN_CHECK(consumers(id).empty())
-      << "erase of op " << id << " with live consumers";
-  alive_[static_cast<std::size_t>(id)] = false;
-}
-
-Graph MutableGraph::build() const {
-  std::vector<OpId> remap(nodes_.size(), kInvalidOp);
-  Graph out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!alive_[i]) continue;
-    const OpNode& n = nodes_[i];
-    std::vector<OpId> inputs;
-    inputs.reserve(n.inputs.size());
-    for (OpId in : n.inputs) {
-      DCN_CHECK(alive(in) && remap[static_cast<std::size_t>(in)] != kInvalidOp)
-          << "op '" << n.name << "' kept an edge to erased op " << in;
-      inputs.push_back(remap[static_cast<std::size_t>(in)]);
-    }
-    remap[i] = out.add_op(n.kind, n.name, n.attrs, std::move(inputs), n.output);
-  }
-  return out;
-}
-
-// --- Built-in passes --------------------------------------------------------
-
 namespace {
 
-bool attrs_equal(const OpAttrs& a, const OpAttrs& b) {
-  return a.kernel == b.kernel && a.stride == b.stride &&
-         a.padding == b.padding && a.out_channels == b.out_channels &&
-         a.out_features == b.out_features && a.pool_out == b.pool_out;
-}
-
-// Attrs with only the fields `kind` reads; everything else at defaults, so
-// two structurally identical ops always compare (and key) identically no
-// matter what stray values a builder left behind.
-OpAttrs canonical_attrs(const OpNode& node) {
-  OpAttrs out;
-  switch (node.kind) {
-    case OpKind::kConv2d:
-    case OpKind::kFusedConvReLU:
-      out.kernel = node.attrs.kernel;
-      out.stride = node.attrs.stride;
-      out.padding = node.attrs.padding;
-      out.out_channels = node.attrs.out_channels;
-      break;
-    case OpKind::kMaxPool:
-      out.kernel = node.attrs.kernel;
-      out.stride = node.attrs.stride;
-      break;
-    case OpKind::kAdaptivePool:
-      out.pool_out = node.attrs.pool_out;
-      break;
-    case OpKind::kLinear:
-    case OpKind::kFusedLinearReLU:
-      out.out_features = node.attrs.out_features;
-      break;
-    default:
-      break;  // attr-free kinds keep the defaults
-  }
-  return out;
-}
-
-// Consumers for which a producer's rank is irrelevant — they read a flat
-// contiguous buffer and only element counts matter. A Flatten feeding only
-// these is a pure metadata op (the IR is contiguous CHW row-major), i.e. a
-// kernel launch and a full activation round-trip for a no-op.
-bool numel_only_consumer(OpKind kind) {
+// Consumers for which a producer's rank is irrelevant: they read a flat
+// contiguous buffer and only element counts matter.
+bool reads_numel_only(OpKind kind) {
   return kind == OpKind::kFlatten || kind == OpKind::kConcat ||
          kind == OpKind::kLinear || kind == OpKind::kFusedLinearReLU;
 }
 
-/// Layout/attr canonicalization: scrub meaningless attr fields, drop
-/// Flatten ops that only feed flat-buffer consumers, collapse identity
-/// Concats (single input, same descriptor) and ReLU-of-ReLU chains.
-class CanonicalizePass final : public Pass {
- public:
-  std::string name() const override { return kCanonicalizePass; }
-
-  bool run(MutableGraph& g) const override {
-    bool changed = false;
-    for (OpId id : g.live_ids()) {
-      if (!g.alive(id)) continue;  // erased earlier in this sweep
-      OpNode& n = g.node(id);
-      const OpAttrs canon = canonical_attrs(n);
-      if (!attrs_equal(n.attrs, canon)) {
-        n.attrs = canon;
-        changed = true;
-      }
-      switch (n.kind) {
-        case OpKind::kFlatten: {
-          const std::vector<OpId> cons = g.consumers(id);
-          if (cons.empty()) break;  // dead; DCE's job
-          const bool foldable =
-              std::all_of(cons.begin(), cons.end(), [&](OpId c) {
-                return numel_only_consumer(g.node(c).kind);
-              });
-          const OpId producer = n.inputs.front();
-          if (foldable && g.can_redirect(id, producer)) {
-            g.redirect(id, producer);
-            g.erase(id);
-            changed = true;
-          }
-          break;
-        }
-        case OpKind::kConcat: {
-          if (n.inputs.size() != 1) break;
-          const OpId producer = n.inputs.front();
-          if (g.node(producer).output.dims != n.output.dims) break;
-          if (!g.consumers(id).empty() && !g.can_redirect(id, producer)) break;
-          g.redirect(id, producer);
-          g.erase(id);
-          changed = true;
-          break;
-        }
-        case OpKind::kReLU: {
-          // relu(relu(x)) == relu(x): consumers read the inner one.
-          const OpId producer = n.inputs.front();
-          if (g.node(producer).kind != OpKind::kReLU) break;
-          if (!g.consumers(id).empty() && !g.can_redirect(id, producer)) break;
-          g.redirect(id, producer);
-          g.erase(id);
-          changed = true;
-          break;
-        }
-        default:
-          break;
-      }
-    }
-    return changed;
-  }
-};
-
-/// Fuse a compute op with its trailing ReLU when the ReLU is the op's sole
-/// consumer. The fused node keeps the compute op's name (weights bind by
-/// name) and position; the ReLU's consumers are redirected onto it.
-class FuseReLUPass final : public Pass {
- public:
-  FuseReLUPass(std::string name, OpKind base, OpKind fused)
-      : name_(std::move(name)), base_(base), fused_(fused) {}
-
-  std::string name() const override { return name_; }
-
-  bool run(MutableGraph& g) const override {
-    bool changed = false;
-    for (OpId id : g.live_ids()) {
-      if (!g.alive(id)) continue;
-      if (g.node(id).kind != base_) continue;
-      const std::vector<OpId> cons = g.consumers(id);
-      if (cons.size() != 1) continue;  // the intermediate must be private
-      const OpId relu = cons.front();
-      if (g.node(relu).kind != OpKind::kReLU) continue;
-      if (!g.consumers(relu).empty() && !g.can_redirect(relu, id)) continue;
-      OpNode& n = g.node(id);
-      n.kind = fused_;
-      n.output = g.node(relu).output;  // same descriptor by relu's contract
-      g.redirect(relu, id);
-      g.erase(relu);
-      changed = true;
-    }
-    return changed;
-  }
-
- private:
-  std::string name_;
-  OpKind base_;
-  OpKind fused_;
-};
-
-/// Ops whose every input is a Constant become Constants themselves: their
-/// output is computable at optimization time and is materialized once with
-/// the weights, so at inference they launch nothing and stream nothing.
-class ConstantFoldingPass final : public Pass {
- public:
-  std::string name() const override { return kConstantFoldingPass; }
-
-  bool run(MutableGraph& g) const override {
-    bool changed = false;
-    for (OpId id : g.live_ids()) {
-      OpNode& n = g.node(id);
-      if (n.kind == OpKind::kInput || n.kind == OpKind::kOutput ||
-          n.kind == OpKind::kConstant || n.inputs.empty()) {
-        continue;
-      }
-      const bool all_const =
-          std::all_of(n.inputs.begin(), n.inputs.end(), [&](OpId in) {
-            return g.node(in).kind == OpKind::kConstant;
-          });
-      if (!all_const) continue;
-      n.kind = OpKind::kConstant;
-      n.attrs = OpAttrs{};
-      n.inputs.clear();
-      changed = true;
-    }
-    return changed;
-  }
-};
-
-/// Remove ops not backward-reachable from any Output (or, in headless
-/// graphs like hand-built test fixtures, from any sink).
-class DeadOpEliminationPass final : public Pass {
- public:
-  std::string name() const override { return kDeadOpEliminationPass; }
-
-  bool run(MutableGraph& g) const override {
-    const std::vector<OpId> live = g.live_ids();
-    std::vector<OpId> roots;
-    for (OpId id : live) {
-      if (g.node(id).kind == OpKind::kOutput) roots.push_back(id);
-    }
-    if (roots.empty()) {
-      for (OpId id : live) {
-        if (g.consumers(id).empty()) roots.push_back(id);
-      }
-    }
-    std::vector<bool> reachable(g.capacity(), false);
-    std::vector<OpId> stack = roots;
-    while (!stack.empty()) {
-      const OpId id = stack.back();
-      stack.pop_back();
-      if (reachable[static_cast<std::size_t>(id)]) continue;
-      reachable[static_cast<std::size_t>(id)] = true;
-      for (OpId in : g.node(id).inputs) stack.push_back(in);
-    }
-    bool changed = false;
-    // Descending id order: insertion order is topological, so a dead op's
-    // consumers (all dead too) are erased before it.
-    for (auto it = live.rbegin(); it != live.rend(); ++it) {
-      if (!reachable[static_cast<std::size_t>(*it)]) {
-        g.erase(*it);
-        changed = true;
-      }
-    }
-    return changed;
-  }
-};
+bool contains(const std::vector<OpId>& ids, OpId id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
 
 }  // namespace
 
-// --- Registry ---------------------------------------------------------------
-
-PassRegistry& PassRegistry::instance() {
-  static PassRegistry* registry = [] {
-    auto* r = new PassRegistry();
-    r->add(kCanonicalizePass,
-           [] { return std::make_unique<CanonicalizePass>(); });
-    r->add(kFuseConvReLUPass, [] {
-      return std::make_unique<FuseReLUPass>(
-          kFuseConvReLUPass, OpKind::kConv2d, OpKind::kFusedConvReLU);
-    });
-    r->add(kFuseLinearReLUPass, [] {
-      return std::make_unique<FuseReLUPass>(
-          kFuseLinearReLUPass, OpKind::kLinear, OpKind::kFusedLinearReLU);
-    });
-    r->add(kConstantFoldingPass,
-           [] { return std::make_unique<ConstantFoldingPass>(); });
-    r->add(kDeadOpEliminationPass,
-           [] { return std::make_unique<DeadOpEliminationPass>(); });
-    return r;
-  }();
-  return *registry;
-}
-
-void PassRegistry::add(const std::string& name, Factory factory) {
-  DCN_CHECK(static_cast<bool>(factory)) << "null pass factory for " << name;
-  if (!factories_.emplace(name, std::move(factory)).second) {
-    throw ConfigError("pass '" + name + "' is already registered");
-  }
-}
-
-std::unique_ptr<Pass> PassRegistry::create(const std::string& name) const {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    throw ConfigError("unknown graph pass '" + name + "'");
-  }
-  return it->second();
-}
-
-std::vector<std::string> PassRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
-}
-
-// --- PassManager ------------------------------------------------------------
-
-PassManager::PassManager(int max_iterations)
-    : max_iterations_(max_iterations) {
-  DCN_CHECK(max_iterations >= 1) << "PassManager needs >= 1 iteration";
-}
-
-void PassManager::add(std::unique_ptr<Pass> pass) {
-  DCN_CHECK(pass != nullptr) << "null pass";
-  passes_.push_back(std::move(pass));
-}
-
-void PassManager::add(const std::string& registered_name) {
-  add(PassRegistry::instance().create(registered_name));
-}
-
-Graph PassManager::run(const Graph& graph, PassStats* stats) const {
-  PassStats local;
-  local.ops_before = graph.size();
-  MutableGraph g(graph);
-  bool changed = true;
-  while (changed && local.iterations < max_iterations_) {
-    changed = false;
-    ++local.iterations;
-    for (const std::unique_ptr<Pass>& pass : passes_) {
-      if (pass->run(g)) {
-        changed = true;
-        ++local.rewrites[pass->name()];
-      }
+Graph optimize_graph(const Graph& graph) {
+  const std::size_t n = graph.size();
+  // Consumers come after their producer in insertion order, and every
+  // redirect below targets the visited node or an earlier one, so a node's
+  // consumer list is still the input graph's when the sweep reaches it.
+  // Its consumers' input lists are not: `inputs` holds each node's inputs
+  // as rewritten so far, which is what the duplicate-edge guard must read
+  // (a Concat of two Flattens of one pool keeps the second Flatten).
+  std::vector<std::vector<OpId>> consumers(n);
+  std::vector<std::vector<OpId>> inputs(n);
+  for (const OpNode& node : graph.nodes()) {
+    inputs[static_cast<std::size_t>(node.id)] = node.inputs;
+    for (OpId in : node.inputs) {
+      consumers[static_cast<std::size_t>(in)].push_back(node.id);
     }
   }
-  Graph out = g.build();
-  validate_shapes(out);
-  local.ops_after = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
+  const auto redirect = [&](OpId from, OpId to) {
+    for (OpId c : consumers[static_cast<std::size_t>(from)]) {
+      std::vector<OpId>& ins = inputs[static_cast<std::size_t>(c)];
+      std::replace(ins.begin(), ins.end(), from, to);
+    }
+  };
 
-Graph optimize_graph(const Graph& graph, const OptimizeOptions& options,
-                     PassStats* stats) {
-  PassManager manager(options.max_iterations);
-  if (options.canonicalize) manager.add(kCanonicalizePass);
-  if (options.fuse) {
-    manager.add(kFuseConvReLUPass);
-    manager.add(kFuseLinearReLUPass);
+  std::vector<bool> dropped(n, false);
+  std::vector<OpId> fused_relu(n, kInvalidOp);  // compute op -> its ReLU
+  for (const OpNode& node : graph.nodes()) {
+    const auto id = static_cast<std::size_t>(node.id);
+    const std::vector<OpId>& cons = consumers[id];
+    if (node.kind == OpKind::kFlatten) {
+      const OpId producer = inputs[id].front();
+      const bool foldable =
+          !cons.empty() && std::all_of(cons.begin(), cons.end(), [&](OpId c) {
+            return reads_numel_only(graph.node(c).kind) &&
+                   !contains(inputs[static_cast<std::size_t>(c)], producer);
+          });
+      if (foldable) {
+        redirect(node.id, producer);
+        dropped[id] = true;
+      }
+    } else if ((node.kind == OpKind::kConv2d ||
+                node.kind == OpKind::kLinear) &&
+               cons.size() == 1 &&
+               graph.node(cons.front()).kind == OpKind::kReLU) {
+      // The ReLU is this op's only consumer, so none of the ReLU's own
+      // consumers reads this op yet: the redirect adds no duplicate edge.
+      redirect(cons.front(), node.id);
+      dropped[static_cast<std::size_t>(cons.front())] = true;
+      fused_relu[id] = cons.front();
+    }
   }
-  if (options.fold_constants) manager.add(kConstantFoldingPass);
-  if (options.eliminate_dead) manager.add(kDeadOpEliminationPass);
-  return manager.run(graph, stats);
+
+  std::vector<OpId> remap(n, kInvalidOp);
+  Graph out;
+  for (const OpNode& node : graph.nodes()) {
+    const auto id = static_cast<std::size_t>(node.id);
+    if (dropped[id]) continue;
+    std::vector<OpId> ins;
+    ins.reserve(inputs[id].size());
+    for (OpId in : inputs[id]) {
+      ins.push_back(remap[static_cast<std::size_t>(in)]);
+    }
+    if (fused_relu[id] == kInvalidOp) {
+      remap[id] = out.add_op(node.kind, node.name, node.attrs, std::move(ins),
+                             node.output);
+    } else {
+      const OpKind fused = node.kind == OpKind::kConv2d
+                               ? OpKind::kFusedConvReLU
+                               : OpKind::kFusedLinearReLU;
+      remap[id] = out.add_op(fused, node.name, node.attrs, std::move(ins),
+                             graph.node(fused_relu[id]).output);
+    }
+  }
+  validate_shapes(out);
+  return out;
 }
 
 std::size_t device_op_count(const Graph& graph) {
   std::size_t count = 0;
   for (const OpNode& node : graph.nodes()) {
-    // Mirrors simgpu::is_device_op (graph cannot depend on simgpu).
-    if (node.kind != OpKind::kInput && node.kind != OpKind::kOutput &&
-        node.kind != OpKind::kConstant) {
-      ++count;
-    }
+    if (is_device_op(node.kind)) ++count;
   }
   return count;
 }

@@ -177,7 +177,7 @@ std::vector<OpId> device_ops(const graph::Graph& graph,
                              const std::vector<OpId>& ops) {
   std::vector<OpId> out;
   for (OpId id : ops) {
-    if (simgpu::is_device_op(graph.node(id).kind)) out.push_back(id);
+    if (graph::is_device_op(graph.node(id).kind)) out.push_back(id);
   }
   return out;
 }
@@ -318,7 +318,7 @@ double brute_force_best_cost(const graph::Graph& graph,
                              std::int64_t batch) {
   std::vector<OpId> ops;
   for (const graph::OpNode& node : graph.nodes()) {
-    if (simgpu::is_device_op(node.kind)) ops.push_back(node.id);
+    if (graph::is_device_op(node.kind)) ops.push_back(node.id);
   }
   DCN_CHECK(ops.size() <= 14) << "graph too large for brute force";
   IosOptions options;

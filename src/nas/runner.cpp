@@ -121,8 +121,7 @@ TrialMetrics profile_architecture(const detect::SppNetConfig& model,
       graph::build_inference_graph(model, config.input_size);
   // The sequential baseline stays on the naive graph; the optimized path
   // schedules the fused graph, so "speedup" reports IOS + fusion together.
-  const graph::Graph fused =
-      config.optimize_graph ? graph::optimize_graph(g) : g;
+  const graph::Graph fused = graph::optimize_graph(g);
 
   TrialMetrics metrics;
   metrics.parameter_count = model.parameter_count();

@@ -42,12 +42,6 @@ struct RunnerConfig {
   /// compute/memory balance, so the best partition can differ).
   simgpu::Precision precision = simgpu::Precision::kFp32;
   simgpu::DeviceSpec device = simgpu::a5500_spec();
-  /// Run the graph optimizer (fusion, constant folding, DCE) before IOS
-  /// scheduling. The sequential baseline always times the naive graph so
-  /// the reported speedup keeps meaning "IOS + fusion over naive"; only
-  /// the optimized path sees the fused graph. Disable for A/B runs
-  /// (the CLI's --no-fuse).
-  bool optimize_graph = true;
   bool verbose = true;
 
   /// Worker threads evaluating trials concurrently (1 = the classic serial

@@ -1,6 +1,6 @@
 // Automatic pipeline partitioning of an inference graph across K devices.
 //
-// The partitioner splits the (fused, pass-optimized) graph's device
+// The partitioner splits the (fused, optimized) graph's device
 // operators — in topological order — into K contiguous stages, each small
 // enough to live resident on one device, balanced by the simgpu cost
 // model. A dynamic program over cut positions minimizes the bottleneck

@@ -59,10 +59,6 @@ struct KernelDesc {
 /// their base compute op: a FusedConvReLU is still one conv-shaped launch).
 profiler::KernelCategory categorize(graph::OpKind kind);
 
-/// Whether the op launches a device kernel at all (Input/Output do not;
-/// folded Constants are materialized with the weights and launch nothing).
-bool is_device_op(graph::OpKind kind);
-
 /// Build the kernel descriptor for one graph node at the given precision.
 /// INT8 descriptors carry quarter-width activation/weight traffic; the op's
 /// MAC count is unchanged (the throughput gain is a device property).

@@ -1,5 +1,4 @@
-// Tests for the SppNet model, its checkpointing, and the fixed-input
-// baseline.
+// Tests for the SppNet model and the fixed-input baseline.
 #include "detect/sppnet.hpp"
 
 #include <gtest/gtest.h>
@@ -13,9 +12,7 @@
 #include "detect/fixed_cnn.hpp"
 #include "detect/imageops.hpp"
 #include "nas/search_space.hpp"
-#include "nn/checkpoint.hpp"
 #include "scan/screener.hpp"
-#include "tensor/ops.hpp"
 
 namespace dcn::detect {
 namespace {
@@ -264,50 +261,6 @@ TEST(ImageOps, CropBoxClampsDegenerateBoxes) {
   const Tensor crop = crop_box(img, box);
   EXPECT_GE(crop.dim(1), 2);  // floor of 2x2 enforced
   EXPECT_GE(crop.dim(2), 2);
-}
-
-detect::SppNetConfig tiny_model() {
-  return detect::parse_notation(
-      "C_{4,3,1}-P_{2,2}-SPP_{2,1}-F_{16}", 4);
-}
-
-TEST(Checkpoint, RoundTripRestoresExactWeights) {
-  Rng rng_a(1);
-  detect::SppNet model_a(tiny_model(), rng_a);
-  const std::string path = testing::TempDir() + "/dcn_model.ckpt";
-  save_checkpoint(model_a, path);
-
-  Rng rng_b(999);  // different init
-  detect::SppNet model_b(tiny_model(), rng_b);
-  Tensor x(Shape{1, 4, 16, 16}, 0.5f);
-  const Tensor before = model_b.forward(x);
-  load_checkpoint(model_b, path);
-  const Tensor after = model_b.forward(x);
-  const Tensor reference = model_a.forward(x);
-  EXPECT_GT(max_abs_diff(before, reference), 1e-6f);  // differed before
-  EXPECT_EQ(max_abs_diff(after, reference), 0.0f);    // identical after
-}
-
-TEST(Checkpoint, RejectsArchitectureMismatch) {
-  Rng rng(1);
-  detect::SppNet small(tiny_model(), rng);
-  const std::string path = testing::TempDir() + "/dcn_model2.ckpt";
-  save_checkpoint(small, path);
-  detect::SppNetConfig bigger = tiny_model();
-  bigger.fc_sizes = {32};  // different head width
-  Rng rng2(2);
-  detect::SppNet other(bigger, rng2);
-  EXPECT_THROW(load_checkpoint(other, path), Error);
-}
-
-TEST(Checkpoint, CopyParameters) {
-  Rng rng_a(1);
-  Rng rng_b(2);
-  detect::SppNet a(tiny_model(), rng_a);
-  detect::SppNet b(tiny_model(), rng_b);
-  copy_parameters(a, b);
-  Tensor x(Shape{1, 4, 12, 12}, 0.3f);
-  EXPECT_EQ(max_abs_diff(a.forward(x), b.forward(x)), 0.0f);
 }
 
 }  // namespace

@@ -130,6 +130,18 @@ TEST(Partition, NeverCutsBetweenConvAndItsReLU) {
   }
 }
 
+TEST(Partition, OptimizerFusesTheChainGraph) {
+  // Every conv absorbs its ReLU and the FC reads the last conv directly.
+  EXPECT_EQ(graph::optimize_graph(chain_graph()).to_string(),
+            "#0 Input 'in' -> (16x16x16)\n"
+            "#1 FusedConvReLU 'conv0' -> (16x16x16) inputs[0]\n"
+            "#2 FusedConvReLU 'conv1' -> (16x16x16) inputs[1]\n"
+            "#3 FusedConvReLU 'conv2' -> (16x16x16) inputs[2]\n"
+            "#4 FusedConvReLU 'conv3' -> (16x16x16) inputs[3]\n"
+            "#5 Linear 'fc' -> (64) inputs[4]\n"
+            "#6 Output 'out' -> (64) inputs[5]\n");
+}
+
 TEST(Partition, FusedGraphPartitionsAndStagesCoverEveryOp) {
   // The optimizer's fused graph: fused nodes are atomic by construction,
   // so every stage count up to the (smaller) device-op total is legal.

@@ -146,8 +146,8 @@ TEST(Kernels, CategorizeMatchesTable3Classes) {
             profiler::KernelCategory::kPooling);
   EXPECT_EQ(categorize(graph::OpKind::kReLU),
             profiler::KernelCategory::kElementwise);
-  EXPECT_FALSE(is_device_op(graph::OpKind::kInput));
-  EXPECT_TRUE(is_device_op(graph::OpKind::kConcat));
+  EXPECT_FALSE(graph::is_device_op(graph::OpKind::kInput));
+  EXPECT_TRUE(graph::is_device_op(graph::OpKind::kConcat));
 }
 
 TEST(Kernels, TableFromSppNetGraph) {

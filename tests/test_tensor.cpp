@@ -1,11 +1,8 @@
-// Tests for tensor/shape, tensor/tensor, tensor/serialize.
+// Tests for tensor/shape and tensor/tensor.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
-#include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dcn {
@@ -115,61 +112,6 @@ TEST(Tensor, ToStringTruncates) {
   const std::string s = t.to_string(4);
   EXPECT_NE(s.find("..."), std::string::npos);
   EXPECT_NE(s.find("[100]"), std::string::npos);
-}
-
-TEST(Serialize, TensorRoundTrip) {
-  Rng rng(5);
-  Tensor t(Shape{3, 4, 5});
-  t.fill_normal(rng, 0.0f, 1.0f);
-  std::stringstream stream;
-  write_tensor(stream, t);
-  const Tensor back = read_tensor(stream);
-  ASSERT_EQ(back.shape(), t.shape());
-  for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(back[i], t[i]);
-}
-
-TEST(Serialize, ScalarRoundTrip) {
-  Tensor t;
-  t[0] = 3.25f;
-  std::stringstream stream;
-  write_tensor(stream, t);
-  const Tensor back = read_tensor(stream);
-  EXPECT_EQ(back.rank(), 0u);
-  EXPECT_EQ(back[0], 3.25f);
-}
-
-TEST(Serialize, BadMagicRejected) {
-  std::stringstream stream;
-  stream << "JUNKDATA";
-  EXPECT_THROW(read_tensor(stream), Error);
-}
-
-TEST(Serialize, TruncatedPayloadRejected) {
-  Tensor t(Shape{100});
-  std::stringstream stream;
-  write_tensor(stream, t);
-  std::string data = stream.str();
-  data.resize(data.size() / 2);
-  std::stringstream half(data);
-  EXPECT_THROW(read_tensor(half), Error);
-}
-
-TEST(Serialize, NamedCollectionRoundTrip) {
-  Rng rng(9);
-  Tensor w(Shape{4, 4});
-  w.fill_normal(rng, 0.0f, 1.0f);
-  Tensor b(Shape{4}, 0.5f);
-  const std::string path = testing::TempDir() + "/dcn_params.bin";
-  save_tensors(path, {{"weight", w}, {"bias", b}});
-  const auto loaded = load_tensors(path);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].first, "weight");
-  EXPECT_EQ(loaded[1].first, "bias");
-  EXPECT_EQ(loaded[0].second.shape(), w.shape());
-  for (std::int64_t i = 0; i < w.numel(); ++i) {
-    EXPECT_EQ(loaded[0].second[i], w[i]);
-  }
-  EXPECT_EQ(loaded[1].second[3], 0.5f);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@ Covers the gate semantics the CI bench jobs rely on:
     too — a bench that silently stops reporting a field must not pass;
   * bubble_fraction is lower-better with 0.02 absolute tolerance;
   * throughput_ratio is higher-better with relative tolerance;
-  * improvements and in-tolerance noise pass.
+  * improvements and in-tolerance noise pass;
+  * the committed BENCH_fusion.json baseline fails against a run with
+    fusion off, naming the launch keys (a mutation check of the gate).
 """
 
 import io
@@ -22,6 +24,10 @@ from contextlib import redirect_stdout
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import bench_compare  # noqa: E402
+
+BASELINES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "bench", "baselines")
 
 
 def run_compare(baseline, current, extra_args=()):
@@ -131,6 +137,28 @@ class Classifiers(unittest.TestCase):
         code, report = run_compare(BASELINE, current)
         self.assertEqual(code, 0)
         self.assertIn("changed", report)
+
+
+class MutationChecks(unittest.TestCase):
+    def test_fusion_off_fails_the_fusion_gate(self):
+        with open(os.path.join(BASELINES, "BENCH_fusion.json")) as f:
+            baseline = json.load(f)
+        # What bench_fusion reports when the optimizer fuses nothing: the
+        # "fused" graph keeps all 19 launches and the naive latencies.
+        self.assertEqual(baseline["naive_launches"], 19)
+        current = dict(baseline)
+        current["fused_launches"] = baseline["naive_launches"]
+        current["launch_reduction"] = 0.0
+        current["fused_fp32_latency_ms"] = baseline["naive_fp32_latency_ms"]
+        current["fused_int8_latency_ms"] = baseline["naive_int8_latency_ms"]
+        current["fp32_speedup"] = 1.0
+        current["int8_speedup"] = 1.0
+        code, report = run_compare(baseline, current)
+        self.assertEqual(code, 1)
+        fail_line = next(line for line in report.splitlines()
+                         if line.startswith("**FAIL**"))
+        self.assertIn("fused_launches", fail_line)
+        self.assertIn("launch_reduction", fail_line)
 
 
 class Report(unittest.TestCase):
