@@ -199,7 +199,9 @@ BENCHMARK(BM_GemmUnfusedBiasRelu)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GemmTransposedB(benchmark::State& state) {
-  // The Linear layer's x * W^T pattern.
+  // The Linear layer's x * W^T pattern at fc0's shape: batch 1 takes the
+  // unpacked GEMV path, batch 20 the packed tiles. weight_GB/s counts one
+  // read of W per call.
   const std::int64_t batch = state.range(0);
   const std::int64_t in = 7680;
   const std::int64_t out = 4096;
@@ -210,8 +212,13 @@ void BM_GemmTransposedB(benchmark::State& state) {
   for (auto _ : state) {
     matmul(false, true, batch, out, in, x.data(), w.data(), y.data());
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   add_gflops(state, batch, out, in);
+  state.counters["weight_GB/s"] = benchmark::Counter(
+      4.0 * static_cast<double>(out * in),
+      benchmark::Counter::kIsIterationInvariantRate,
+      benchmark::Counter::kIs1000);
 }
 
 BENCHMARK(BM_GemmTransposedB)->Arg(1)->Arg(20)->Unit(benchmark::kMillisecond);

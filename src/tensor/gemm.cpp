@@ -16,6 +16,10 @@
 // floating-point summation tree. This TU builds with -ffp-contract=off for
 // the same reason (see the determinism contract in microkernel.hpp).
 //
+// m == 1 (batch-1 linear layers) skips all of that: the GEMV path packs
+// nothing, pads nothing and tunes nothing, streaming B once through the
+// variant's sgemv kernel and storing through the same store_tile.
+//
 // Threading: the M (or N, whichever has more micro tiles) dimension is
 // split into bands executed on the shared compute pool, each band packing
 // into its own thread-local Workspace. C tiles are disjoint across bands
@@ -45,6 +49,17 @@ constexpr std::int64_t kBlockK = 256;
 // Don't spawn a band for less work than this (~100us of compute); small
 // GEMMs stay serial where pool latency would dominate.
 constexpr double kMinFlopsPerBand = 8.0e6;
+
+// m == 1 (the GEMV path): C columns per compute task, fixed by the shape
+// alone. Below kMinParallelGemvMacs (400 KB of B, tens of microseconds on
+// one core) the tasks run inline: pool dispatch would cost more than the
+// split saves.
+constexpr std::int64_t kGemvTaskCols = 64;
+constexpr double kMinParallelGemvMacs = 1.0e5;
+// Columns per sgemv kernel call. A transposed B is streamed 16 of its rows
+// at a time: more concurrent row streams defeat the hardware prefetcher.
+constexpr std::int64_t kGemvColsTransposed = 16;
+static_assert(kGemvColsTransposed <= kGemvTaskCols);
 
 // Probe caps for the tuner's measure callback. K is capped at one K block
 // (the band loop repeats identically per block, so ranking is unchanged);
@@ -275,6 +290,52 @@ void gemm_band(const GemmArgs& g, const Blocking& blk, std::int64_t m_lo,
   }
 }
 
+// m == 1: C columns [n_lo, n_hi) from x, A's row with alpha folded in.
+// Each block of columns streams its part of B once, K block by K block,
+// and is stored through store_tile as a one-row tile, so beta, the
+// epilogue and K-block accumulation are the packed path's own code.
+void gemv_band(const GemmArgs& g, kernels::SgemvFn sgemv, const float* x,
+               std::int64_t n_lo, std::int64_t n_hi) {
+  const std::int64_t cols = g.trans_b ? kGemvColsTransposed : kGemvTaskCols;
+  alignas(64) float acc[kGemvTaskCols];
+  for (std::int64_t n0 = n_lo; n0 < n_hi; n0 += cols) {
+    const std::int64_t nb = std::min(cols, n_hi - n0);
+    for (std::int64_t k0 = 0; k0 < g.k; k0 += kBlockK) {
+      const std::int64_t kb = std::min(kBlockK, g.k - k0);
+      sgemv(kb, nb, x + k0,
+            g.trans_b ? g.b + n0 * g.ldb + k0 : g.b + k0 * g.ldb + n0, g.ldb,
+            g.trans_b, acc);
+      const GemmEpilogue* ep = (k0 + kb == g.k) ? g.epilogue : nullptr;
+      store_tile(g.c + n0, g.ldc, acc, cols, 1, nb, k0 == 0, g.beta, ep,
+                 ep ? ep->row_bias : nullptr,
+                 ep && ep->col_bias ? ep->col_bias + n0 : nullptr);
+    }
+  }
+}
+
+// m == 1 (batch-1 linear layers): nothing is packed or padded and nothing
+// is tuned. Fixed bands of kGemvTaskCols columns run on the compute pool.
+void gemv(const GemmArgs& g) {
+  const kernels::SgemvFn sgemv =
+      kernels::KernelRegistry::global().active().sgemv;
+  Workspace& ws = Workspace::tls();
+  Workspace::Scope scope(ws);
+  float* x = ws.floats(static_cast<std::size_t>(g.k));
+  for (std::int64_t p = 0; p < g.k; ++p) {
+    x[p] = g.alpha * load_a(g.a, g.lda, g.trans_a, 0, p);
+  }
+  if (static_cast<double>(g.n) * static_cast<double>(g.k) <
+      kMinParallelGemvMacs) {
+    gemv_band(g, sgemv, x, 0, g.n);
+    return;
+  }
+  const auto band = [&](int t) {
+    const std::int64_t lo = static_cast<std::int64_t>(t) * kGemvTaskCols;
+    gemv_band(g, sgemv, x, lo, std::min(g.n, lo + kGemvTaskCols));
+  };
+  run_compute_tasks(static_cast<int>(ceil_div(g.n, kGemvTaskCols)), band);
+}
+
 // beta-scale + epilogue sweep for the degenerate k == 0 / alpha == 0 cases
 // where no K block ever visits the tiles.
 void scale_epilogue_sweep(const GemmArgs& g) {
@@ -357,6 +418,11 @@ void sgemm_ex(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
               std::int64_t ldc, const GemmEpilogue& epilogue) {
   DCN_CHECK(m >= 0 && n >= 0 && k >= 0) << "gemm dims " << m << 'x' << n
                                         << 'x' << k;
+  // A and B are read only when k > 0; with k == 0 both are empty.
+  DCN_CHECK(ldc >= n && (k == 0 || (lda >= (trans_a ? m : k) &&
+                                    ldb >= (trans_b ? k : n))))
+      << "gemm leading dims " << lda << '/' << ldb << '/' << ldc << " for "
+      << m << 'x' << n << 'x' << k << " trans " << trans_a << trans_b;
   if (m == 0 || n == 0) return;
 
   GemmArgs args{trans_a, trans_b, m,    n,   k, alpha, a,
@@ -365,6 +431,11 @@ void sgemm_ex(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
   if (k == 0 || alpha == 0.0f) {
     scale_epilogue_sweep(args);
+    return;
+  }
+
+  if (m == 1) {
+    gemv(args);
     return;
   }
 

@@ -37,7 +37,10 @@ struct GemmEpilogue {
 /// C = alpha * op(A) * op(B) + beta * C.
 /// A is m×k after the optional transpose, B is k×n, C is m×n; all row-major
 /// with leading dimensions lda/ldb/ldc (the stride between rows of the
-/// *stored* matrix, i.e. pre-transpose).
+/// *stored* matrix, i.e. pre-transpose). Each must be at least its stored
+/// matrix's row width — lda >= (trans_a ? m : k), ldb >= (trans_b ? k : n),
+/// ldc >= n — or the call throws; lda and ldb are not checked when k == 0,
+/// where A and B are empty.
 void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
            std::int64_t k, float alpha, const float* a, std::int64_t lda,
            const float* b, std::int64_t ldb, float beta, float* c,

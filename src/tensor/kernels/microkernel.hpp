@@ -15,7 +15,10 @@
 //     acc = 0; for p ascending: acc += a[i,p] * b[p,j]   (mul, then add)
 // with no FMA contraction (all variant TUs and gemm.cpp build with
 // -ffp-contract=off) and no cross-lane reassociation, SIMD lanes only ever
-// hold *distinct* output elements. Integer kernels (qgemm) are exact by
+// hold *distinct* output elements. The batch-1 sgemv kernel keeps the same
+// sequence for its one row: acc = 0; acc += x[p] * b(p,j) for p ascending,
+// its lanes holding distinct columns j — so a GEMV row is memcmp-equal to
+// that row of any micro-tiled product. Integer kernels (qgemm) are exact by
 // arithmetic: int32 sums cannot overflow because qgemm bounds K.
 // Consequence: every variant, at every micro-tile size, is memcmp-identical
 // to the generic reference registrant — dispatch and autotuning may change
@@ -39,6 +42,16 @@ constexpr std::int64_t kMaxNr = 64;
 /// tail rows); pb is kb steps of nr floats (zero-padded tail columns).
 using SgemmMicroFn = void (*)(std::int64_t kb, const float* pa,
                               const float* pb, float* acc);
+
+/// Batch-1 SGEMM kernel (m == 1, nothing packed): acc[j] = sum over the kb
+/// steps p of x[p] * b(p, j) for j in [0, nb), each summed from 0 in
+/// ascending p, as a micro tile sums its packed steps. b(p, j) is
+/// b[j * ldb + p] when trans_b (B stored n x k, as a linear layer's weight)
+/// and b[p * ldb + j] otherwise; x is A's row with alpha folded in.
+/// Overwrites acc (no read).
+using SgemvFn = void (*)(std::int64_t kb, std::int64_t nb, const float* x,
+                         const float* b, std::int64_t ldb, bool trans_b,
+                         float* acc);
 
 /// One registered SGEMM micro tile: a fixed (MR, NR) instantiation.
 struct SgemmMicroKernel {
@@ -110,6 +123,7 @@ struct KernelVariant {
   std::vector<SgemmMicroKernel> sgemm;
   /// qgemm micro tiles, preference-ordered like `sgemm`.
   std::vector<QgemmMicroKernel> qgemm;
+  SgemvFn sgemv = nullptr;
   QdotFn qdot = nullptr;
   AccumulateFn accumulate = nullptr;
   QuantizeU8Fn quantize_u8 = nullptr;

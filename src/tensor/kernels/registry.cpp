@@ -45,8 +45,8 @@ KernelRegistry::KernelRegistry() {
   variants_.push_back(make_avx512vnni_variant());
 #endif
   for (const KernelVariant& v : variants_) {
-    DCN_CHECK(!v.sgemm.empty() && !v.qgemm.empty())
-        << "variant " << v.name << " has no sgemm or qgemm tile";
+    DCN_CHECK(!v.sgemm.empty() && !v.qgemm.empty() && v.sgemv != nullptr)
+        << "variant " << v.name << " has no sgemm tile, qgemm tile or sgemv";
     for (const SgemmMicroKernel& k : v.sgemm) {
       DCN_CHECK(k.mr >= 1 && k.mr <= kMaxMr && k.nr >= 1 && k.nr <= kMaxNr)
           << "variant " << v.name << " tile " << k.mr << 'x' << k.nr;

@@ -32,6 +32,7 @@ KernelVariant make_avx2_variant() {
       {6, 16, &qgemm_micro_vec<6, 16, W>},
       {8, 8, &qgemm_micro_vec<8, 8, W>},
   };
+  v.sgemv = &sgemv_vec<W>;
   v.qdot = &qdot_vec<W>;
   v.accumulate = &accumulate_vec<W>;
   v.quantize_u8 = &quantize_u8_vec<W>;

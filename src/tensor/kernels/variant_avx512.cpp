@@ -36,6 +36,7 @@ KernelVariant make_avx512_variant() {
       {4, 64, &qgemm_micro_vec<4, 64, W>},
       {16, 16, &qgemm_micro_vec<16, 16, W>},
   };
+  v.sgemv = &sgemv_vec<W>;
   v.qdot = &qdot_vec<W>;
   v.accumulate = &accumulate_vec<W>;
   v.quantize_u8 = &quantize_u8_vec<W>;

@@ -69,6 +69,7 @@ KernelVariant make_generic_variant() {
       {8, 8, &qgemm_micro_scalar<8, 8>},
       {4, 16, &qgemm_micro_scalar<4, 16>},
   };
+  v.sgemv = &sgemv_scalar;
   v.qdot = &qdot_scalar;
   v.accumulate = &accumulate_scalar;
   v.quantize_u8 = &quantize_u8_scalar;

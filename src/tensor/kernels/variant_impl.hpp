@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "tensor/kernels/microkernel.hpp"
 
@@ -134,6 +135,127 @@ void sgemm_micro_vec(std::int64_t kb, const float* __restrict pa,
       *reinterpret_cast<vf*>(acc + i * NR + j * W) = c[i][j];
     }
   }
+}
+
+// ---------------------------------------------------------------- SGEMV ---
+
+/// Scalar batch-1 kernel (the generic variant, and the vector kernels' tail
+/// columns): four columns per pass over the steps, so four running sums
+/// overlap, each still summed in ascending p. Internal linkage: each variant
+/// TU keeps its own copy built with its own ISA flags, where the linker
+/// would keep one copy of an inline function for all of them and the
+/// generic variant could run another ISA's instructions.
+static inline void sgemv_scalar(std::int64_t kb, std::int64_t nb,
+                                const float* __restrict x,
+                                const float* __restrict b, std::int64_t ldb,
+                                bool trans_b, float* __restrict acc) {
+  const std::int64_t col_stride = trans_b ? ldb : 1;
+  const std::int64_t step_stride = trans_b ? 1 : ldb;
+  constexpr int kCols = 4;
+  std::int64_t j = 0;
+  for (; j + kCols <= nb; j += kCols) {
+    float c[kCols] = {};
+    for (std::int64_t p = 0; p < kb; ++p) {
+      const float xp = x[p];
+      const float* bp = b + p * step_stride + j * col_stride;
+      for (int q = 0; q < kCols; ++q) c[q] += xp * bp[q * col_stride];
+    }
+    for (int q = 0; q < kCols; ++q) acc[j + q] = c[q];
+  }
+  for (; j < nb; ++j) {
+    float c = 0.0f;
+    for (std::int64_t p = 0; p < kb; ++p) {
+      c += x[p] * b[p * step_stride + j * col_stride];
+    }
+    acc[j] = c;
+  }
+}
+
+/// One round of the in-register transpose: each row pair (i, i + H), with
+/// bit H of i clear, trades its H-lane blocks, which swaps bit H of the row
+/// index with bit H of the lane index. The blocks stay inside 128-bit
+/// halves until H reaches 4 lanes, so the SSE/AVX2 rounds are cheap
+/// in-lane shuffles.
+template <int W, int H, int... I>
+void transpose_round(typename V<W>::vf* t, std::integer_sequence<int, I...>) {
+  for (int i = 0; i < W; ++i) {
+    if ((i & H) != 0) continue;
+    const auto lo =
+        __builtin_shufflevector(t[i], t[i + H], ((I & H) ? W + I - H : I)...);
+    const auto hi =
+        __builtin_shufflevector(t[i], t[i + H], ((I & H) ? W + I : I + H)...);
+    t[i] = lo;
+    t[i + H] = hi;
+  }
+}
+
+/// In-register W x W transpose: lane s of t[r] moves to lane r of t[s]. The
+/// rounds H = 1, 2, ..., W/2 swap every bit of the row index with the same
+/// bit of the lane index. Data movement only: no value changes.
+template <int W, int H = 1>
+void transpose(typename V<W>::vf* t) {
+  if constexpr (H < W) {
+    transpose_round<W, H>(t, std::make_integer_sequence<int, W>{});
+    transpose<W, 2 * H>(t);
+  }
+}
+
+/// Vector batch-1 kernel, one column per lane. A plain B gives each step a
+/// contiguous row segment: 4W columns per pass, like a micro tile's packed
+/// B row. A transposed B holds each column's steps contiguously: W of its
+/// rows are loaded W steps at a time and transposed in registers, so lane
+/// r again sums column j + r in ascending p.
+template <int W>
+void sgemv_vec(std::int64_t kb, std::int64_t nb, const float* __restrict x,
+               const float* __restrict b, std::int64_t ldb, bool trans_b,
+               float* __restrict acc) {
+  typedef typename V<W>::vf vf;
+  std::int64_t j = 0;
+  if (!trans_b) {
+    constexpr int NV = 4;
+    for (; j + NV * W <= nb; j += NV * W) {
+      vf c[NV] = {};
+      for (std::int64_t p = 0; p < kb; ++p) {
+        const float xp = x[p];
+        const float* row = b + p * ldb + j;
+        for (int v = 0; v < NV; ++v) {
+          c[v] += xp * *reinterpret_cast<const vf*>(row + v * W);
+        }
+      }
+      for (int v = 0; v < NV; ++v) {
+        *reinterpret_cast<vf*>(acc + j + v * W) = c[v];
+      }
+    }
+    for (; j + W <= nb; j += W) {
+      vf c = {};
+      for (std::int64_t p = 0; p < kb; ++p) {
+        c += x[p] * *reinterpret_cast<const vf*>(b + p * ldb + j);
+      }
+      *reinterpret_cast<vf*>(acc + j) = c;
+    }
+    sgemv_scalar(kb, nb - j, x, b + j, ldb, false, acc + j);
+    return;
+  }
+  for (; j + W <= nb; j += W) {
+    const float* rows = b + j * ldb;
+    vf c = {};
+    std::int64_t p = 0;
+    for (; p + W <= kb; p += W) {
+      vf t[W];
+      for (int r = 0; r < W; ++r) {
+        t[r] = *reinterpret_cast<const vf*>(rows + r * ldb + p);
+      }
+      transpose<W>(t);
+      for (int s = 0; s < W; ++s) c += x[p + s] * t[s];
+    }
+    for (; p < kb; ++p) {
+      vf column;
+      for (int r = 0; r < W; ++r) column[r] = rows[r * ldb + p];
+      c += x[p] * column;
+    }
+    *reinterpret_cast<vf*>(acc + j) = c;
+  }
+  sgemv_scalar(kb, nb - j, x, b + j * ldb, ldb, true, acc + j);
 }
 
 // ---------------------------------------------------------------- qgemm ---

@@ -31,6 +31,7 @@ KernelVariant make_sse41_variant() {
       {6, 8, &qgemm_micro_vec<6, 8, W>},
       {8, 4, &qgemm_micro_vec<8, 4, W>},
   };
+  v.sgemv = &sgemv_vec<W>;
   v.qdot = &qdot_vec<W>;
   v.accumulate = &accumulate_vec<W>;
   v.quantize_u8 = &quantize_u8_vec<W>;

@@ -145,7 +145,9 @@ struct ThreadGuard {
 // Eval mode runs the fused lowering (ReLU in the GEMM epilogue, pools with
 // no argmax, no caches); training mode runs the modules one by one. Size 47
 // truncates in every pool. The inputs are finite: the fused epilogue passes
-// a NaN through where the ReLU module zeroes it.
+// a NaN through where the ReLU module zeroes it. The eval forward is also
+// batch-invariant: a sample alone takes the batch-1 GEMV path through the
+// linear layers, and must give its row of the batch-9 output bit for bit.
 TEST(SppNet, EvalForwardBitIdenticalToTrainingForward) {
   nas::SearchPoint point;
   point.conv1_kernel = 3;
@@ -177,6 +179,23 @@ TEST(SppNet, EvalForwardBitIdenticalToTrainingForward) {
                     0)
               << config.name << ", size " << size << ", batch " << batch
               << ", threads " << threads;
+          if (batch == 1) continue;
+          const std::int64_t in = x.numel() / batch;
+          const std::int64_t out = eval.numel() / batch;
+          for (std::int64_t i = 0; i < batch; ++i) {
+            Tensor alone(Shape{1, 4, size, size});
+            std::memcpy(alone.data(), x.data() + i * in,
+                        sizeof(float) * static_cast<std::size_t>(in));
+            const Tensor row = net.forward(alone);
+            ASSERT_EQ(row.numel(), out);
+            EXPECT_EQ(std::memcmp(row.data(), eval.data() + i * out,
+                                  sizeof(float) *
+                                      static_cast<std::size_t>(out)),
+                      0)
+                << config.name << ", size " << size << ", sample " << i
+                << " alone vs in a batch of " << batch << ", threads "
+                << threads;
+          }
         }
       }
     }

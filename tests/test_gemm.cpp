@@ -1,6 +1,7 @@
 // Property tests for the parallel blocked SGEMM against the reference
 // kernel: transpose combos, odd shapes, alpha/beta semantics, fused
-// epilogues, and bit-identical results across thread counts.
+// epilogues, bit-identical results across thread counts, and the m == 1
+// GEMV path against the packed path.
 #include "tensor/gemm.hpp"
 
 #include <gtest/gtest.h>
@@ -9,11 +10,15 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
+#include "tensor/kernels/registry.hpp"
+#include "tensor/kernels/tuner.hpp"
 
 namespace dcn {
 namespace {
@@ -291,6 +296,106 @@ TEST(Gemm, LeadingDimensionLargerThanWidth) {
   EXPECT_NEAR(c[1], dense[1], 1e-4f);
   EXPECT_NEAR(c[4], dense[2], 1e-4f);
   EXPECT_NEAR(c[5], dense[3], 1e-4f);
+}
+
+// Tuning off: each variant runs its default tile, and no shape class is
+// timed or cached.
+struct TunerOff {
+  TunerOff() { kernels::TileTuner::global().set_enabled(false); }
+  ~TunerOff() { kernels::TileTuner::global().set_enabled(true); }
+};
+
+TEST(Gemm, GemvRowEqualsEveryRowOfThePackedProduct) {
+  // m == 1 takes the unpacked GEMV path; m == 3 the packed micro tiles.
+  // Both sum each element from 0 over ascending p in K blocks of 256 and
+  // store through one epilogue, so each row of the m == 3 product must be
+  // the m == 1 product of that row of A, bit for bit. k straddles the K
+  // block; n straddles the 16-column kernel calls and 64-column tasks, and
+  // 300 x 769 is large enough to split over the threads.
+  TunerOff tuner_off;
+  kernels::KernelRegistry& reg = kernels::KernelRegistry::global();
+  enum class Epi { kNone, kColBiasRelu, kRowBiasRelu };
+  constexpr std::int64_t m = 3;
+  for (const std::int64_t k : {1, 255, 256, 257, 769}) {
+    for (const std::int64_t n : {1, 15, 16, 17, 300}) {
+      Rng rng(static_cast<std::uint64_t>(k * 1009 + n));
+      const auto a = random_matrix(m, k, rng);  // read as m x k or k x m
+      const auto b = random_matrix(k, n, rng);  // read as k x n or n x k
+      const auto c0 = random_matrix(m, n, rng);
+      const auto row_bias = random_matrix(1, m, rng);
+      const auto col_bias = random_matrix(1, n, rng);
+      for (const std::string& name : reg.variant_names()) {
+        if (!reg.variant_supported(name)) continue;
+        kernels::KernelRegistry::ScopedForce force(name);
+        ASSERT_TRUE(force.ok()) << name;
+        for (const bool ta : {false, true}) {
+          for (const bool tb : {false, true}) {
+            for (const float alpha : {1.0f, 0.5f}) {
+              for (const float beta : {0.0f, 2.0f}) {
+                for (const Epi epi :
+                     {Epi::kNone, Epi::kColBiasRelu, Epi::kRowBiasRelu}) {
+                  GemmEpilogue ep;
+                  ep.relu = epi != Epi::kNone;
+                  if (epi == Epi::kColBiasRelu) ep.col_bias = col_bias.data();
+                  if (epi == Epi::kRowBiasRelu) ep.row_bias = row_bias.data();
+                  const std::int64_t lda = ta ? m : k;
+                  const std::int64_t ldb = tb ? k : n;
+                  auto packed = c0;
+                  sgemm_ex(ta, tb, m, n, k, alpha, a.data(), lda, b.data(),
+                           ldb, beta, packed.data(), n, ep);
+                  for (const int threads : {1, 4}) {
+                    ThreadGuard guard(threads);
+                    for (std::int64_t i = 0; i < m; ++i) {
+                      std::vector<float> row(c0.begin() + i * n,
+                                             c0.begin() + (i + 1) * n);
+                      GemmEpilogue row_ep = ep;
+                      if (ep.row_bias) row_ep.row_bias = ep.row_bias + i;
+                      sgemm_ex(ta, tb, 1, n, k, alpha,
+                               a.data() + (ta ? i : i * k), lda, b.data(),
+                               ldb, beta, row.data(), n, row_ep);
+                      ASSERT_EQ(0, std::memcmp(row.data(),
+                                               packed.data() + i * n,
+                                               sizeof(float) *
+                                                   static_cast<std::size_t>(n)))
+                          << name << " row " << i << " of " << m << 'x' << n
+                          << 'x' << k << " ta=" << ta << " tb=" << tb
+                          << " alpha=" << alpha << " beta=" << beta
+                          << " epi=" << static_cast<int>(epi)
+                          << " threads=" << threads;
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, RejectsTooSmallLeadingDimensions) {
+  // A leading dimension below the stored row width would make packing, or
+  // the GEMV, read past the matrix; every one throws, at m == 1 too.
+  const std::vector<float> a(64, 1.0f);
+  const std::vector<float> b(64, 1.0f);
+  std::vector<float> c(64, 0.0f);
+  const std::int64_t n = 5;
+  const std::int64_t k = 6;
+  for (const std::int64_t m : {1, 4}) {
+    const auto call = [&](bool ta, bool tb, std::int64_t lda,
+                          std::int64_t ldb, std::int64_t ldc) {
+      sgemm(ta, tb, m, n, k, 1.0f, a.data(), lda, b.data(), ldb, 0.0f,
+            c.data(), ldc);
+    };
+    EXPECT_NO_THROW(call(false, false, k, n, n));
+    EXPECT_NO_THROW(call(true, true, m, k, n));
+    EXPECT_THROW(call(false, false, k - 1, n, n), Error) << "lda, m " << m;
+    EXPECT_THROW(call(true, false, m - 1, n, n), Error) << "lda^T, m " << m;
+    EXPECT_THROW(call(false, false, k, n - 1, n), Error) << "ldb, m " << m;
+    EXPECT_THROW(call(false, true, k, k - 1, n), Error) << "ldb^T, m " << m;
+    EXPECT_THROW(call(false, false, k, n, n - 1), Error) << "ldc, m " << m;
+  }
 }
 
 TEST(Gemm, EmptyOutputIsNoop) {

@@ -155,6 +155,7 @@ TEST_F(KernelsTest, EveryVariantRegistersCompleteKernelSet) {
     ASSERT_NE(v, nullptr) << name;
     EXPECT_FALSE(v->sgemm.empty()) << name;
     EXPECT_FALSE(v->qgemm.empty()) << name;
+    EXPECT_NE(v->sgemv, nullptr) << name;
     EXPECT_NE(v->qdot, nullptr) << name;
     EXPECT_NE(v->accumulate, nullptr) << name;
     EXPECT_NE(v->quantize_u8, nullptr) << name;
@@ -230,7 +231,7 @@ TEST_F(KernelsTest, AllVariantsBitIdenticalAcrossTransAlphaBetaEpilogue) {
   KernelRegistry& reg = KernelRegistry::global();
   const struct {
     int m, n, k;
-  } shapes[] = {{5, 9, 7}, {65, 257, 129}, {131, 63, 300}};
+  } shapes[] = {{5, 9, 7}, {65, 257, 129}, {131, 63, 300}, {1, 257, 300}};
   for (const auto& s : shapes) {
     Rng rng(static_cast<std::uint64_t>(s.m * 131071 + s.n * 8191 + s.k));
     const auto a_nt = random_matrix(s.m, s.k, rng);
