@@ -16,6 +16,7 @@
 
 #include "core/cli.hpp"
 #include "core/logging.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/table.hpp"
 #include "detect/sppnet.hpp"
@@ -120,10 +121,10 @@ int main(int argc, char** argv) {
   water_config.roads.spacing = 256;
   water_config.roads.density = 0.4;
 
+  set_num_threads(static_cast<int>(flags.get_int("jobs")));
   scan::CascadeOptions scan_options;
   scan_options.tile_size = tile;
   scan_options.overlap = flags.get_double("overlap");
-  scan_options.jobs = static_cast<int>(flags.get_int("jobs"));
   geo::GeoTransform transform;  // 1 m/pixel at the origin (NAIP-like)
 
   Rng validation_rng(seed + 1);

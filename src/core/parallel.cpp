@@ -4,15 +4,11 @@
 #include <atomic>
 #include <memory>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace dcn {
 namespace {
-// Atomic: read by hardware_threads() inside parallel regions and from pool
-// workers while the main thread may call set_num_threads.
-std::atomic<int> g_num_threads{0};  // 0 = backend default
+// Atomic: read by compute_threads() on pool workers while the main thread
+// may call set_num_threads.
+std::atomic<int> g_num_threads{0};  // 0 = hardware default
 
 // Shared compute pool for the tensor engine. Created lazily at the first
 // parallel kernel launch and grown (replaced) when a larger thread count is
@@ -33,61 +29,8 @@ std::shared_ptr<ThreadPool> acquire_compute_pool(int threads) {
 }
 }  // namespace
 
-int hardware_threads() {
-#ifdef _OPENMP
-  const int n = g_num_threads.load(std::memory_order_relaxed);
-  if (n > 0) return n;
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
 void set_num_threads(int n) {
   g_num_threads.store(n < 1 ? 0 : n, std::memory_order_relaxed);
-}
-
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn,
-                  std::int64_t grain) {
-  if (begin >= end) return;
-  const std::int64_t n = end - begin;
-#ifdef _OPENMP
-  if (n >= grain && hardware_threads() > 1) {
-#pragma omp parallel for num_threads(hardware_threads()) schedule(static)
-    for (std::int64_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-#else
-  (void)grain;
-#endif
-  for (std::int64_t i = begin; i < end; ++i) fn(i);
-}
-
-void parallel_for_chunked(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t, std::int64_t)>& fn,
-    std::int64_t grain) {
-  if (begin >= end) return;
-  const std::int64_t n = end - begin;
-  const int threads = hardware_threads();
-#ifdef _OPENMP
-  if (n >= grain && threads > 1) {
-    const std::int64_t chunk = std::max<std::int64_t>(1, (n + threads - 1) / threads);
-#pragma omp parallel num_threads(threads)
-    {
-      const std::int64_t t = omp_get_thread_num();
-      const std::int64_t lo = begin + t * chunk;
-      const std::int64_t hi = std::min(end, lo + chunk);
-      if (lo < hi) fn(lo, hi);
-    }
-    return;
-  }
-#else
-  (void)grain;
-  (void)threads;
-#endif
-  fn(begin, end);
 }
 
 int compute_threads() {

@@ -1,14 +1,13 @@
-// Shared-memory parallel loop helpers and a task thread pool.
+// The tensor engine's thread runtime: one shared std::thread compute pool.
 //
-// All data-parallel loops in the library funnel through parallel_for so the
-// threading backend (OpenMP when available, serial otherwise) is chosen in
-// one place. Grain-size control avoids spawning parallel regions for tiny
-// trip counts, which matters for the many small tensors in SPP branches.
+// Every parallel kernel funnels through run_compute_tasks (or
+// for_each_sample on top of it), so set_num_threads / compute_threads are
+// the one thread setting and the one way to read it.
 //
 // ThreadPool is the coarse-grained counterpart: long-lived std::thread
 // workers executing independent tasks (one task = one NAS trial). Pool
-// tasks may themselves call parallel_for; keep the product of pool size and
-// set_num_threads at or below the machine's core count to avoid
+// tasks may themselves launch parallel kernels; keep the product of pool
+// size and set_num_threads at or below the machine's core count to avoid
 // oversubscription.
 #pragma once
 
@@ -25,34 +24,14 @@
 
 namespace dcn {
 
-/// Number of worker threads the backend will use (1 when OpenMP is absent).
-/// Safe to call from any thread, including inside pool tasks.
-int hardware_threads();
-
-/// Set the number of threads used by subsequent parallel_for calls.
-/// Values < 1 reset to the hardware default. Safe to call concurrently with
-/// hardware_threads() (the setting is a single atomic), though in-flight
-/// parallel regions keep the count they started with.
+/// Set the number of threads the compute pool uses for subsequent kernel
+/// launches. Values < 1 reset to the hardware default. Safe to call
+/// concurrently with compute_threads() (the setting is a single atomic),
+/// though in-flight launches keep the count they started with.
 void set_num_threads(int n);
 
-/// Run fn(i) for i in [begin, end). Executes in parallel when the trip count
-/// is at least `grain`, serially otherwise. fn must be safe to invoke
-/// concurrently for distinct i.
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn,
-                  std::int64_t grain = 64);
-
-/// Chunked variant: fn(chunk_begin, chunk_end) over a partition of
-/// [begin, end). Lower overhead than the per-index form for tight loops.
-void parallel_for_chunked(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t, std::int64_t)>& fn,
-    std::int64_t grain = 1024);
-
-/// Number of threads the tensor-engine compute pool targets: the
-/// set_num_threads() override when present, else the hardware concurrency.
-/// Unlike hardware_threads() this does not require OpenMP, so the
-/// std::thread compute pool scales even in TSan builds that avoid OpenMP.
+/// Number of threads the compute pool targets: the set_num_threads()
+/// override when present, else std::thread::hardware_concurrency().
 int compute_threads();
 
 /// True while the calling thread runs a run_compute_tasks task, on a pool

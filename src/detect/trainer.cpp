@@ -2,7 +2,6 @@
 
 #include "core/error.hpp"
 #include "core/logging.hpp"
-#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/time.hpp"
 #include "nn/loss.hpp"
@@ -46,12 +45,6 @@ TrainHistory train_detector(Module& model, const geo::DrainageDataset& dataset,
   DCN_CHECK(!split.train.empty() && !split.test.empty())
       << "train/test split is empty (train " << split.train.size() << ", test "
       << split.test.size() << ")";
-
-  // Optionally pin the tensor engine's thread count for this run. The
-  // previous effective value is restored on exit; weights do not depend on
-  // the setting (the engine's decompositions are thread-count invariant).
-  const int previous_threads = hardware_threads();
-  if (config.jobs > 0) set_num_threads(config.jobs);
 
   Sgd optimizer(model.parameters(), config.sgd);
   Rng shuffle_rng(config.shuffle_seed);
@@ -116,7 +109,6 @@ TrainHistory train_detector(Module& model, const geo::DrainageDataset& dataset,
                  << ", accuracy " << history.final_eval.accuracy
                  << ", mean IoU " << history.final_eval.mean_iou;
   }
-  if (config.jobs > 0) set_num_threads(previous_threads);
   return history;
 }
 

@@ -29,12 +29,6 @@ struct TrainConfig {
   std::vector<double> lr_decay_milestones{0.6, 0.85};
   /// Log a line per epoch.
   bool verbose = true;
-  /// Compute threads for the tensor engine during this run (conv/GEMM
-  /// batch parallelism): 0 leaves the process-wide setting untouched,
-  /// values >= 1 call set_num_threads(jobs) for the duration of training.
-  /// Results are bit-identical for any value (see DESIGN.md "Tensor-engine
-  /// threading model").
-  int jobs = 0;
 };
 
 struct EpochStats {

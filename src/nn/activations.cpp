@@ -1,21 +1,32 @@
 #include "nn/activations.hpp"
 
 #include "core/error.hpp"
-#include "core/rng.hpp"
-#include "tensor/ops.hpp"
 
 namespace dcn {
 
 Tensor ReLU::forward(const Tensor& input) {
   cached_input_ = input;
   has_cached_input_ = true;
-  return relu(input);
+  Tensor out(input.shape());
+  const std::int64_t n = input.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    out[i] = input[i] > 0.0f ? input[i] : 0.0f;
+  }
+  return out;
 }
 
+// The gradient passes where the pre-activation was positive; the
+// subgradient at 0 is 0.
 Tensor ReLU::backward(const Tensor& grad_output) {
   DCN_CHECK(has_cached_input_) << "ReLU::backward without forward";
+  DCN_CHECK(grad_output.shape() == cached_input_.shape())
+      << "ReLU::backward shape mismatch " << grad_output.shape().to_string()
+      << " vs " << cached_input_.shape().to_string();
   Tensor grad_input(cached_input_.shape());
-  relu_backward(cached_input_, grad_output, grad_input);
+  const std::int64_t n = grad_input.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    grad_input[i] = cached_input_[i] > 0.0f ? grad_output[i] : 0.0f;
+  }
   return grad_input;
 }
 
@@ -29,33 +40,6 @@ Tensor Flatten::forward(const Tensor& input) {
 Tensor Flatten::backward(const Tensor& grad_output) {
   DCN_CHECK(input_shape_.rank() > 0) << "Flatten::backward without forward";
   return grad_output.reshaped(input_shape_);
-}
-
-Dropout::Dropout(double p, Rng& rng) : p_(p), rng_(&rng) {
-  DCN_CHECK(p >= 0.0 && p < 1.0) << "dropout p must be in [0, 1)";
-}
-
-Tensor Dropout::forward(const Tensor& input) {
-  if (!is_training() || p_ == 0.0) {
-    has_mask_ = false;
-    return input;
-  }
-  mask_ = Tensor(input.shape());
-  has_mask_ = true;
-  const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
-  Tensor out(input.shape());
-  const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float m = rng_->bernoulli(p_) ? 0.0f : keep_scale;
-    mask_[i] = m;
-    out[i] = input[i] * m;
-  }
-  return out;
-}
-
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (!has_mask_) return grad_output;
-  return mul(grad_output, mask_);
 }
 
 }  // namespace dcn

@@ -5,8 +5,6 @@
 
 namespace dcn {
 
-class Rng;
-
 /// Rectified linear unit.
 class ReLU : public Module {
  public:
@@ -28,22 +26,6 @@ class Flatten : public Module {
 
  private:
   Shape input_shape_;
-};
-
-/// Inverted dropout; identity in eval mode.
-class Dropout : public Module {
- public:
-  Dropout(double p, Rng& rng);
-
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Dropout"; }
-
- private:
-  double p_;
-  Rng* rng_;
-  Tensor mask_;
-  bool has_mask_ = false;
 };
 
 }  // namespace dcn

@@ -13,12 +13,4 @@ void kaiming_normal(Tensor& weight, std::int64_t fan_in, Rng& rng) {
   weight.fill_normal(rng, 0.0f, stddev);
 }
 
-void xavier_uniform(Tensor& weight, std::int64_t fan_in, std::int64_t fan_out,
-                    Rng& rng) {
-  DCN_CHECK(fan_in > 0 && fan_out > 0) << "xavier fans";
-  const float a =
-      std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  weight.fill_uniform(rng, -a, a);
-}
-
 }  // namespace dcn

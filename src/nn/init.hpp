@@ -12,8 +12,4 @@ class Rng;
 /// He/Kaiming normal init for ReLU networks: N(0, sqrt(2 / fan_in)).
 void kaiming_normal(Tensor& weight, std::int64_t fan_in, Rng& rng);
 
-/// Xavier/Glorot uniform init: U(-a, a), a = sqrt(6 / (fan_in + fan_out)).
-void xavier_uniform(Tensor& weight, std::int64_t fan_in, std::int64_t fan_out,
-                    Rng& rng);
-
 }  // namespace dcn

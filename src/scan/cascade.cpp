@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "detect/metrics.hpp"
 #include "detect/sppnet.hpp"
 #include "geo/patch.hpp"
@@ -108,7 +107,6 @@ ScanResult scan_watershed(const geo::Orthophoto& photo,
                           Module& screener, Module& full,
                           const CascadeOptions& options) {
   DCN_CHECK(options.batch_size > 0) << "batch size " << options.batch_size;
-  if (options.jobs >= 1) set_num_threads(options.jobs);
   screener.set_training(false);
   full.set_training(false);
 

@@ -22,9 +22,10 @@
 // Determinism contract: a scan is a pure function of (photo, crossings,
 // model weights, options). Inference runs on the tensor engine, which is
 // bit-identical across thread counts, so scan_to_csv / detections_to_csv
-// reproduce byte-for-byte at any `jobs` — and trivially at any serving
-// replica count, because detection results never flow through the serving
-// simulation (pipeline.hpp times the scan; it does not score it).
+// reproduce byte-for-byte at any set_num_threads value — and trivially at
+// any serving replica count, because detection results never flow through
+// the serving simulation (pipeline.hpp times the scan; it does not score
+// it).
 #pragma once
 
 #include <array>
@@ -61,9 +62,6 @@ struct CascadeOptions {
   /// and AP-reference mode: per-tile full-model scores for any threshold,
   /// plus the full-model AP the constraint is measured against.
   bool evaluate_all = false;
-  /// Tensor-engine threads (0 = leave the process-wide setting). The scan
-  /// result is bit-identical for any value.
-  int jobs = 0;
 };
 
 /// Per-tile outcome, in geo::make_tiles order.

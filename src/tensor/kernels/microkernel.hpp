@@ -97,18 +97,10 @@ using AccumulateFn = void (*)(std::int64_t n, const float* src, float* dst);
 using QuantizeU8Fn = void (*)(const float* src, std::int64_t n,
                               float inv_scale, float zp, std::uint8_t* dst);
 
-/// dst[i] = scale * (float(src[i]) - zp). Elementwise: exact at any width.
-using DequantizeU8Fn = void (*)(const std::uint8_t* src, std::int64_t n,
-                                float scale, float zp, float* dst);
-
 /// Symmetric int8 quantization: dst[i] = clamp(round_away(src[i] *
 /// inv_scale), -127, 127).
 using QuantizeS8Fn = void (*)(const float* src, std::int64_t n,
                               float inv_scale, std::int8_t* dst);
-
-/// max / min over n floats (n >= 1). Exact selection; NaN elements are
-/// skipped by the comparison predicate exactly as the scalar loop does.
-using ReduceMinMaxFn = float (*)(const float* src, std::int64_t n);
 
 /// One ISA variant: a named bundle of kernels plus the runtime gate that
 /// says whether the executing CPU can run it. Higher priority wins the
@@ -127,10 +119,7 @@ struct KernelVariant {
   QdotFn qdot = nullptr;
   AccumulateFn accumulate = nullptr;
   QuantizeU8Fn quantize_u8 = nullptr;
-  DequantizeU8Fn dequantize_u8 = nullptr;
   QuantizeS8Fn quantize_s8 = nullptr;
-  ReduceMinMaxFn reduce_max = nullptr;
-  ReduceMinMaxFn reduce_min = nullptr;
 
   /// The tile used when tuning is disabled (first registered entry).
   const SgemmMicroKernel& default_sgemm() const { return sgemm.front(); }

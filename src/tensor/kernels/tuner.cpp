@@ -182,27 +182,45 @@ TileConfig TileTuner::choose(const KernelVariant& variant, char precision,
   }
   const std::string key = cache_key(variant, precision, m, n, k);
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    // Single flight per class: a thread that misses while another thread
+    // loads or tunes the same class waits for it and then hits the memo.
+    // Compute threads that first meet a conv class together (inside
+    // per-sample tasks) thus tune it once, and the memo and the disk entry
+    // hold the same winner. Different classes still load or tune at once.
+    std::unique_lock<std::mutex> lock(mutex_);
+    flight_done_.wait(lock, [&] { return in_flight_.count(key) == 0; });
     const auto it = memo_.find(key);
     if (it != memo_.end()) {
       ++stats_.memo_hits;
+      const TileConfig config = it->second;
+      lock.unlock();
       profiler::counter_add("tuner_cache.hit");
-      return it->second;
+      return config;
     }
     ++stats_.memo_misses;
+    in_flight_.insert(key);
   }
   profiler::counter_add("tuner_cache.miss");
-
   TileConfig config;
-  if (load_entry(key, variant, precision, &config)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    memo_.emplace(key, config);
-    return config;
+  try {
+    if (!load_entry(key, variant, precision, &config)) {
+      config = tune(variant, precision, m, n, k, measure);
+    }
+  } catch (...) {
+    end_flight(key, nullptr);
+    throw;
   }
-  config = tune(variant, precision, m, n, k, measure);
-  std::lock_guard<std::mutex> lock(mutex_);
-  memo_.emplace(key, config);
+  end_flight(key, &config);
   return config;
+}
+
+void TileTuner::end_flight(const std::string& key, const TileConfig* config) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (config != nullptr) memo_.emplace(key, *config);
+    in_flight_.erase(key);
+  }
+  flight_done_.notify_all();
 }
 
 TileConfig TileTuner::tune(const KernelVariant& variant, char precision,

@@ -23,11 +23,13 @@
 // an entry — the same redundancy-collapsing move as the schedule cache.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "tensor/kernels/microkernel.hpp"
 
@@ -66,8 +68,12 @@ class TileTuner {
   /// precision is 'f' (fp32 sgemm) or 'q' (int8 qgemm). Consults memo,
   /// then disk, then tunes with `measure` over the candidate set (the
   /// variant's default tile is always candidate #0, so the winner is never
-  /// measured slower than the default). When tuning is disabled the
-  /// variant default is returned and nothing is counted or stored.
+  /// measured slower than the default). Loading and tuning are single
+  /// flight per class: threads that miss the same class together wait for
+  /// one load or tune and then count a memo hit, so each class is tuned
+  /// once per process. `measure` must not call choose(). When tuning is
+  /// disabled the variant default is returned and nothing is counted or
+  /// stored.
   TileConfig choose(const KernelVariant& variant, char precision,
                     std::int64_t m, std::int64_t n, std::int64_t k,
                     const MeasureFn& measure);
@@ -114,12 +120,18 @@ class TileTuner {
   TileConfig tune(const KernelVariant& variant, char precision,
                   std::int64_t m, std::int64_t n, std::int64_t k,
                   const MeasureFn& measure);
+  /// Ends `key`'s load or tune: memoizes `config` (none when it threw)
+  /// and wakes the threads waiting on the class.
+  void end_flight(const std::string& key, const TileConfig* config);
   bool load_entry(const std::string& key, const KernelVariant& variant,
                   char precision, TileConfig* config);
   void store_entry(const std::string& key, const TileConfig& config,
                    double best_ms);
 
   std::mutex mutex_;
+  /// Keys being loaded or tuned, and the signal that one of them landed.
+  std::unordered_set<std::string> in_flight_;
+  std::condition_variable flight_done_;
   bool enabled_ = true;
   std::string dir_;
   std::unordered_map<std::string, TileConfig> memo_;

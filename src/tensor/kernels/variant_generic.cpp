@@ -27,29 +27,6 @@ void quantize_s8_scalar(const float* src, std::int64_t n, float inv_scale,
   }
 }
 
-void dequantize_u8_scalar(const std::uint8_t* src, std::int64_t n,
-                          float scale, float zp, float* dst) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    dst[i] = scale * (static_cast<float>(src[i]) - zp);
-  }
-}
-
-float reduce_max_scalar(const float* src, std::int64_t n) {
-  float best = src[0];
-  for (std::int64_t i = 1; i < n; ++i) {
-    best = src[i] > best ? src[i] : best;
-  }
-  return best;
-}
-
-float reduce_min_scalar(const float* src, std::int64_t n) {
-  float best = src[0];
-  for (std::int64_t i = 1; i < n; ++i) {
-    best = src[i] < best ? src[i] : best;
-  }
-  return best;
-}
-
 }  // namespace
 
 KernelVariant make_generic_variant() {
@@ -74,9 +51,6 @@ KernelVariant make_generic_variant() {
   v.accumulate = &accumulate_scalar;
   v.quantize_u8 = &quantize_u8_scalar;
   v.quantize_s8 = &quantize_s8_scalar;
-  v.dequantize_u8 = &dequantize_u8_scalar;
-  v.reduce_max = &reduce_max_scalar;
-  v.reduce_min = &reduce_min_scalar;
   return v;
 }
 

@@ -463,49 +463,4 @@ void quantize_s8_vec(const float* src, std::int64_t n, float inv_scale,
   }
 }
 
-template <int W>
-void dequantize_u8_vec(const std::uint8_t* src, std::int64_t n, float scale,
-                       float zp, float* dst) {
-  typedef typename V<W>::vf vf;
-  typedef typename V<W>::vb vb;
-  std::int64_t i = 0;
-  for (; i + W <= n; i += W) {
-    const vf v = __builtin_convertvector(
-        widen<W>(*reinterpret_cast<const vb*>(src + i)), vf);
-    *reinterpret_cast<vf*>(dst + i) = scale * (v - zp);
-  }
-  for (; i < n; ++i) {
-    dst[i] = scale * (static_cast<float>(src[i]) - zp);
-  }
-}
-
-// --------------------------------------------------------------- reduce ---
-
-/// max over n floats with the scalar loop's NaN behavior (NaN never
-/// replaces the running value). Seeding every lane with src[0] makes the
-/// result independent of how elements land in lanes: max is an exact
-/// selection, so any grouping yields the same value.
-template <int W, bool kMax>
-float reduce_minmax_vec(const float* src, std::int64_t n) {
-  typedef typename V<W>::vf vf;
-  float best = src[0];
-  std::int64_t i = 1;
-  if (n - 1 >= 2 * W) {
-    vf acc = vf{} + best;
-    for (; i + W <= n; i += W) {
-      const vf v = *reinterpret_cast<const vf*>(src + i);
-      acc = kMax ? (v > acc ? v : acc) : (v < acc ? v : acc);
-    }
-    for (int l = 0; l < W; ++l) {
-      best = kMax ? (acc[l] > best ? acc[l] : best)
-                  : (acc[l] < best ? acc[l] : best);
-    }
-  }
-  for (; i < n; ++i) {
-    best = kMax ? (src[i] > best ? src[i] : best)
-                : (src[i] < best ? src[i] : best);
-  }
-  return best;
-}
-
 }  // namespace dcn::kernels

@@ -36,9 +36,6 @@ KernelVariant make_sse41_variant() {
   v.accumulate = &accumulate_vec<W>;
   v.quantize_u8 = &quantize_u8_vec<W>;
   v.quantize_s8 = &quantize_s8_vec<W>;
-  v.dequantize_u8 = &dequantize_u8_vec<W>;
-  v.reduce_max = &reduce_minmax_vec<W, true>;
-  v.reduce_min = &reduce_minmax_vec<W, false>;
   return v;
 }
 

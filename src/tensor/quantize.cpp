@@ -57,14 +57,6 @@ void quantize_u8(const float* src, std::int64_t n, const QuantParams& params,
                                                          zp, dst);
 }
 
-void dequantize_u8(const std::uint8_t* src, std::int64_t n,
-                   const QuantParams& params, float* dst) {
-  const auto zp = static_cast<float>(params.zero_point);
-  kernels::KernelRegistry::global().active().dequantize_u8(src, n,
-                                                           params.scale, zp,
-                                                           dst);
-}
-
 float symmetric_scale(float max_abs) {
   DCN_CHECK(max_abs >= 0.0f) << "max_abs " << max_abs;
   return max_abs == 0.0f ? 1.0f : max_abs / 127.0f;
@@ -77,51 +69,26 @@ void quantize_s8(const float* src, std::int64_t n, float scale,
                                                          dst);
 }
 
-namespace {
-
-QuantizedWeights quantize_rows(const float* w, std::int64_t rows,
-                               std::int64_t cols, bool per_channel) {
+QuantizedWeights quantize_weights_per_channel(const float* w,
+                                              std::int64_t rows,
+                                              std::int64_t cols) {
   DCN_CHECK(rows > 0 && cols > 0) << "weights [" << rows << ", " << cols
                                   << "]";
   QuantizedWeights q;
   q.rows = rows;
   q.cols = cols;
   q.data.resize(static_cast<std::size_t>(rows * cols));
-  if (per_channel) {
-    q.scales.resize(static_cast<std::size_t>(rows));
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float max_abs = 0.0f;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        max_abs = std::max(max_abs, std::abs(w[r * cols + c]));
-      }
-      const float scale = symmetric_scale(max_abs);
-      q.scales[static_cast<std::size_t>(r)] = scale;
-      quantize_s8(w + r * cols, cols, scale, q.data.data() + r * cols);
-    }
-  } else {
+  q.scales.resize(static_cast<std::size_t>(rows));
+  for (std::int64_t r = 0; r < rows; ++r) {
     float max_abs = 0.0f;
-    for (std::int64_t i = 0; i < rows * cols; ++i) {
-      max_abs = std::max(max_abs, std::abs(w[i]));
+    for (std::int64_t c = 0; c < cols; ++c) {
+      max_abs = std::max(max_abs, std::abs(w[r * cols + c]));
     }
     const float scale = symmetric_scale(max_abs);
-    q.scales.assign(1, scale);
-    quantize_s8(w, rows * cols, scale, q.data.data());
+    q.scales[static_cast<std::size_t>(r)] = scale;
+    quantize_s8(w + r * cols, cols, scale, q.data.data() + r * cols);
   }
   return q;
-}
-
-}  // namespace
-
-QuantizedWeights quantize_weights_per_channel(const float* w,
-                                              std::int64_t rows,
-                                              std::int64_t cols) {
-  return quantize_rows(w, rows, cols, /*per_channel=*/true);
-}
-
-QuantizedWeights quantize_weights_per_tensor(const float* w,
-                                             std::int64_t rows,
-                                             std::int64_t cols) {
-  return quantize_rows(w, rows, cols, /*per_channel=*/false);
 }
 
 }  // namespace dcn

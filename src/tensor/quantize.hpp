@@ -5,9 +5,8 @@
 //   real = scale * (q - zero_point),   q in [0, 255],
 // chosen so that 0.0 is exactly representable (padding zeros and ReLU
 // outputs quantize without bias error). Weights are symmetric int8 with
-// zero point 0 and either one scale per output channel (per-row of the
-// GEMM's left operand — the default, matching TensorRT/FBGEMM) or a single
-// per-tensor scale:
+// zero point 0 and one scale per output channel (per-row of the GEMM's
+// left operand, matching TensorRT/FBGEMM):
 //   real = scale_c * q,   q in [-127, 127]  (-128 is never produced).
 #pragma once
 
@@ -40,10 +39,6 @@ QuantParams choose_quant_params(float min_value, float max_value);
 void quantize_u8(const float* src, std::int64_t n, const QuantParams& params,
                  std::uint8_t* dst);
 
-/// Elementwise uint8 -> float.
-void dequantize_u8(const std::uint8_t* src, std::int64_t n,
-                   const QuantParams& params, float* dst);
-
 /// Symmetric int8 scale for values in [-max_abs, max_abs]: max_abs / 127
 /// (1 when max_abs == 0, so zeros stay zeros).
 float symmetric_scale(float max_abs);
@@ -54,28 +49,19 @@ void quantize_s8(const float* src, std::int64_t n, float scale,
                  std::int8_t* dst);
 
 /// A weight matrix quantized to symmetric int8, one scale per row (per
-/// output channel) or a single broadcast scale. Rows are the GEMM's M
-/// dimension: conv filters reshaped to [out_channels, in_c*k*k], linear
-/// weights as stored [out_features, in_features].
+/// output channel). Rows are the GEMM's M dimension: conv filters reshaped
+/// to [out_channels, in_c*k*k], linear weights as stored [out_features,
+/// in_features].
 struct QuantizedWeights {
   std::int64_t rows = 0;
   std::int64_t cols = 0;
   std::vector<std::int8_t> data;  // [rows, cols] row-major
-  std::vector<float> scales;      // size rows (per-channel) or 1 (per-tensor)
-
-  bool per_channel() const {
-    return scales.size() == static_cast<std::size_t>(rows);
-  }
+  std::vector<float> scales;      // size rows
 };
 
 /// Quantize a [rows, cols] float matrix with one symmetric scale per row.
 QuantizedWeights quantize_weights_per_channel(const float* w,
                                               std::int64_t rows,
                                               std::int64_t cols);
-
-/// Quantize a [rows, cols] float matrix with a single symmetric scale.
-QuantizedWeights quantize_weights_per_tensor(const float* w,
-                                             std::int64_t rows,
-                                             std::int64_t cols);
 
 }  // namespace dcn

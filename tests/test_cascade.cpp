@@ -145,10 +145,10 @@ struct ScanFixture {
 
 TEST(Cascade, ScanCsvIsByteIdenticalAcrossThreadCounts) {
   ScanFixture fixture = ScanFixture::make();
-  CascadeOptions opts = fixture.options();
-  opts.jobs = 1;
+  const CascadeOptions opts = fixture.options();
+  set_num_threads(1);
   const ScanResult serial = fixture.scan(opts);
-  opts.jobs = 4;
+  set_num_threads(4);
   const ScanResult threaded = fixture.scan(opts);
   set_num_threads(0);  // restore the process-wide default
 
@@ -289,9 +289,9 @@ TEST(Calibrator, RealPipelineChoiceIsDeterministic) {
   CascadeOptions opts = fixture.options();
   opts.threshold = 0.0;
   opts.evaluate_all = true;
-  opts.jobs = 1;
+  set_num_threads(1);
   const ScanResult one = fixture.scan(opts);
-  opts.jobs = 4;
+  set_num_threads(4);
   const ScanResult four = fixture.scan(opts);
   set_num_threads(0);
 

@@ -1,14 +1,12 @@
-// Tests for the parallel-loop helpers, wall timer, and PPM/PGM writers.
+// Tests for the thread setting, wall timer, and PPM/PGM writers.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <fstream>
-#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
-#include "core/rng.hpp"
 #include "core/time.hpp"
 #include "geo/ppm.hpp"
 #include "geo/render.hpp"
@@ -16,66 +14,15 @@
 namespace dcn {
 namespace {
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, 1000, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyAndReversedRangesAreNoops) {
-  int calls = 0;
-  parallel_for(5, 5, [&](std::int64_t) { ++calls; });
-  parallel_for(7, 3, [&](std::int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ParallelFor, SmallTripCountsRunSerially) {
-  // Below the grain the loop must still produce correct results.
-  std::vector<int> out(10, 0);
-  parallel_for(0, 10, [&](std::int64_t i) {
-    out[static_cast<std::size_t>(i)] = static_cast<int>(i * i);
-  },
-               /*grain=*/1000);
-  EXPECT_EQ(out[9], 81);
-}
-
-TEST(ParallelForChunked, PartitionIsExact) {
-  std::vector<std::atomic<int>> hits(5000);
-  parallel_for_chunked(0, 5000, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      hits[static_cast<std::size_t>(i)].fetch_add(1);
-    }
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, ReductionMatchesSerial) {
-  const std::int64_t n = 4096;
-  std::vector<double> values(static_cast<std::size_t>(n));
-  Rng rng(3);
-  for (auto& v : values) v = rng.uniform();
-  std::vector<double> partial(static_cast<std::size_t>(n));
-  parallel_for(0, n, [&](std::int64_t i) {
-    partial[static_cast<std::size_t>(i)] =
-        values[static_cast<std::size_t>(i)] * 2.0;
-  });
-  const double serial =
-      2.0 * std::accumulate(values.begin(), values.end(), 0.0);
-  const double parallel =
-      std::accumulate(partial.begin(), partial.end(), 0.0);
-  EXPECT_NEAR(parallel, serial, 1e-9);
-}
-
 TEST(Threads, SetNumThreadsRoundTrips) {
-  const int before = hardware_threads();
   set_num_threads(2);
-  EXPECT_EQ(hardware_threads(), hardware_threads() >= 1 ? hardware_threads()
-                                                        : 1);
-  set_num_threads(0);  // reset to default
-  EXPECT_GE(hardware_threads(), 1);
-  (void)before;
+  EXPECT_EQ(compute_threads(), 2);
+  set_num_threads(0);  // back to the hardware default
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(compute_threads(), hw > 0 ? static_cast<int>(hw) : 1);
+  set_num_threads(2);
+  set_num_threads(-3);  // below 1 also resets
+  EXPECT_EQ(compute_threads(), hw > 0 ? static_cast<int>(hw) : 1);
 }
 
 TEST(WallTimer, MeasuresElapsedTime) {

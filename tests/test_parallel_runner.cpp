@@ -5,8 +5,7 @@
 // injection and across checkpoint/resume.
 //
 // These tests run under ThreadSanitizer in CI (the `tsan` preset), so they
-// deliberately exercise std::thread concurrency and stay away from OpenMP
-// parallel regions.
+// deliberately exercise std::thread concurrency.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -102,7 +101,7 @@ TEST(ParallelCore, ConcurrentSetAndGetNumThreadsIsClean) {
     threads.emplace_back([t, &observed_min] {
       for (int i = 0; i < 1000; ++i) {
         set_num_threads(1 + (t + i) % 4);
-        const int n = hardware_threads();
+        const int n = compute_threads();
         int current = observed_min.load();
         while (n < current &&
                !observed_min.compare_exchange_weak(current, n)) {

@@ -3,6 +3,7 @@
 // caching, precision-expanded selection, and precision-configurable serving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -79,11 +80,8 @@ TEST(QuantizeTest, BulkMatchesScalarAndSaturates) {
   }
   EXPECT_EQ(q.front(), 0);    // saturates below
   EXPECT_EQ(q.back(), 255);   // saturates above
-  std::vector<float> back(src.size());
-  dequantize_u8(q.data(), static_cast<std::int64_t>(q.size()), p,
-                back.data());
   for (std::size_t i = 1; i + 1 < src.size(); ++i) {
-    EXPECT_NEAR(back[i], src[i], 0.5f * p.scale + 1e-6f);
+    EXPECT_NEAR(p.dequantize(q[i]), src[i], 0.5f * p.scale + 1e-6f);
   }
 }
 
@@ -94,7 +92,6 @@ TEST(QuantizeTest, SymmetricWeightsStayInNarrowRangeAndRoundTrip) {
   for (float& v : w) v = static_cast<float>(rng.normal(0.0, 2.0));
   const QuantizedWeights q = quantize_weights_per_channel(w.data(), rows,
                                                           cols);
-  ASSERT_TRUE(q.per_channel());
   ASSERT_EQ(q.scales.size(), static_cast<std::size_t>(rows));
   for (std::int64_t r = 0; r < rows; ++r) {
     const float scale = q.scales[static_cast<std::size_t>(r)];
@@ -121,25 +118,33 @@ TEST(QuantizeTest, PerChannelBeatsPerTensorOnDisparateRows) {
     w[static_cast<std::size_t>(cols + c)] =
         static_cast<float>(rng.uniform(-100.0, 100.0));
   }
-  const QuantizedWeights per_channel =
+  const QuantizedWeights q =
       quantize_weights_per_channel(w.data(), rows, cols);
-  const QuantizedWeights per_tensor =
-      quantize_weights_per_tensor(w.data(), rows, cols);
-  const auto row_error = [&](const QuantizedWeights& q, std::int64_t r) {
-    double err = 0.0;
-    const float scale = q.per_channel()
-                            ? q.scales[static_cast<std::size_t>(r)]
-                            : q.scales[0];
+  ASSERT_EQ(q.scales.size(), static_cast<std::size_t>(rows));
+  float max_all = 0.0f;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float max_row = 0.0f;
     for (std::int64_t c = 0; c < cols; ++c) {
-      const std::size_t i = static_cast<std::size_t>(r * cols + c);
-      err += std::abs(scale * static_cast<float>(q.data[i]) - w[i]);
+      max_row = std::max(
+          max_row, std::abs(w[static_cast<std::size_t>(r * cols + c)]));
     }
-    return err;
-  };
-  EXPECT_LT(row_error(per_channel, 0), 0.1 * row_error(per_tensor, 0));
-  // The big row is fine either way.
-  EXPECT_NEAR(row_error(per_channel, 1), row_error(per_tensor, 1),
-              row_error(per_channel, 1) + 1.0);
+    EXPECT_EQ(q.scales[static_cast<std::size_t>(r)],
+              symmetric_scale(max_row));
+    max_all = std::max(max_all, max_row);
+  }
+  // Row 0's error with its own scale, and with the one scale a per-tensor
+  // quantizer would share across both rows.
+  const float shared = symmetric_scale(max_all);
+  std::vector<std::int8_t> shared_q(static_cast<std::size_t>(cols));
+  quantize_s8(w.data(), cols, shared, shared_q.data());
+  double err = 0.0, shared_err = 0.0;
+  for (std::int64_t c = 0; c < cols; ++c) {
+    const std::size_t i = static_cast<std::size_t>(c);
+    err += std::abs(q.scales[0] * static_cast<float>(q.data[i]) - w[i]);
+    shared_err += std::abs(shared * static_cast<float>(shared_q[i]) - w[i]);
+  }
+  EXPECT_LE(err, 0.5 * q.scales[0] * static_cast<double>(cols));
+  EXPECT_LT(err, 0.1 * shared_err);
 }
 
 // --- qgemm ------------------------------------------------------------------
