@@ -17,7 +17,6 @@
 // byte-stable across hosts and committed as a CI regression baseline.
 // Exits non-zero when any floor is missed.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -33,6 +32,7 @@
 #include "graph/passes.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
+#include "report.hpp"
 #include "scan/calibrate.hpp"
 #include "scan/cascade.hpp"
 #include "scan/pipeline.hpp"
@@ -249,31 +249,21 @@ int main(int argc, char** argv) {
               result.negative_fraction * 100.0, negative_floor * 100.0,
               negative_ok ? "OK" : "FAIL");
 
-  std::ofstream json(flags.get_string("json"));
-  char buffer[1024];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\n"
-      "  \"screener\": \"%s\",\n"
-      "  \"screener_precision\": \"%s\",\n"
-      "  \"full_model\": \"%s\",\n"
-      "  \"tiles\": %lld,\n"
-      "  \"threshold\": %.6f,\n"
-      "  \"negative_fraction\": %.4f,\n"
-      "  \"survivor_fraction\": %.4f,\n"
-      "  \"cascade_tiles_per_sec\": %.1f,\n"
-      "  \"full_tiles_per_sec\": %.1f,\n"
-      "  \"speedup\": %.4f,\n"
-      "  \"full_scan_ap\": %.4f,\n"
-      "  \"cascade_ap\": %.4f,\n"
-      "  \"ap_delta_points\": %.4f\n"
-      "}\n",
-      screener.config.name.c_str(), int8_screener ? "int8" : "fp32",
-      full_config.name.c_str(), static_cast<long long>(result.tiles),
-      calibration.chosen.threshold, result.negative_fraction,
-      result.survivor_fraction, cascade_serving.tiles_per_sec, full_tps,
-      speedup, result.full_ap, result.cascade_ap, ap_delta_points);
-  json << buffer;
-  std::printf("JSON written to %s\n", flags.get_string("json").c_str());
+  bench::Report report;
+  report.add("screener", screener.config.name);
+  report.add("screener_precision", int8_screener ? "int8" : "fp32");
+  report.add("full_model", full_config.name);
+  report.add("tiles", result.tiles, 0);
+  report.add("threshold", calibration.chosen.threshold, 6);
+  report.add("negative_fraction", result.negative_fraction, 4);
+  report.add("survivor_fraction", result.survivor_fraction, 4);
+  report.add("cascade_tiles_per_sec", cascade_serving.tiles_per_sec, 1,
+             bench::kHigher);
+  report.add("full_tiles_per_sec", full_tps, 1, bench::kHigher);
+  report.add("speedup", speedup, 4, bench::kHigher);
+  report.add("full_scan_ap", result.full_ap, 4, bench::higher_within(0.02));
+  report.add("cascade_ap", result.cascade_ap, 4, bench::higher_within(0.02));
+  report.add("ap_delta_points", ap_delta_points, 4, bench::lower_within(1.0));
+  report.write(flags.get_string("json"));
   return speedup_ok && accuracy_ok && negative_ok ? 0 : 1;
 }

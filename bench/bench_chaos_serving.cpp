@@ -13,7 +13,6 @@
 // recovery numbers are byte-stable and CI gates them against
 // bench/baselines/BENCH_chaos.json via tools/bench_compare.py.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "graph/passes.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
+#include "report.hpp"
 #include "serve/server.hpp"
 #include "simgpu/device.hpp"
 #include "simgpu/kernels.hpp"
@@ -32,19 +32,11 @@
 namespace {
 
 dcn::detect::SppNetConfig pick_model(std::int64_t candidate) {
-  switch (candidate) {
-    case 0:
-      return dcn::detect::original_sppnet();
-    case 1:
-      return dcn::detect::sppnet_candidate1();
-    case 2:
-      return dcn::detect::sppnet_candidate2();
-    case 3:
-      return dcn::detect::sppnet_candidate3();
-    default:
-      throw dcn::ConfigError("--candidate must be 0..3, got " +
-                             std::to_string(candidate));
+  if (candidate < 0 || candidate > 3) {
+    throw dcn::ConfigError("--candidate must be 0..3, got " +
+                           std::to_string(candidate));
   }
+  return dcn::detect::table1_models()[static_cast<std::size_t>(candidate)];
 }
 
 /// Fraction of admitted requests that were not lost (kFailed). 1.0 is the
@@ -54,47 +46,6 @@ double availability(const dcn::serve::ServingReport& report) {
   if (report.admitted == 0) return 1.0;
   return static_cast<double>(report.admitted - report.failed) /
          static_cast<double>(report.admitted);
-}
-
-void json_block(std::ofstream& os, const char* name,
-                const dcn::serve::ServingReport& report, bool fleet) {
-  char buffer[768];
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"%s\": {\n"
-                "    \"goodput_rps\": %.3f,\n"
-                "    \"throughput_rps\": %.3f,\n"
-                "    \"slo_attainment\": %.4f,\n"
-                "    \"availability\": %.4f,\n"
-                "    \"reject_rate\": %.4f,\n"
-                "    \"p99_ms\": %.4f,\n"
-                "    \"completed\": %lld,\n"
-                "    \"failed\": %lld",
-                name, report.goodput(), report.throughput,
-                report.slo_attainment(), availability(report),
-                report.reject_rate(), report.p99 * 1e3,
-                static_cast<long long>(report.completed),
-                static_cast<long long>(report.failed));
-  os << buffer;
-  if (fleet) {
-    std::snprintf(buffer, sizeof(buffer),
-                  ",\n"
-                  "    \"recovery_s\": %.4f,\n"
-                  "    \"deaths\": %lld,\n"
-                  "    \"respawns\": %lld,\n"
-                  "    \"replicas_lost\": %d,\n"
-                  "    \"crash_redispatches\": %lld,\n"
-                  "    \"hedges_won\": %lld,\n"
-                  "    \"degraded_served\": %lld",
-                  report.time_to_recovery,
-                  static_cast<long long>(report.deaths),
-                  static_cast<long long>(report.respawns),
-                  report.replicas_lost,
-                  static_cast<long long>(report.crash_redispatches),
-                  static_cast<long long>(report.hedges_won),
-                  static_cast<long long>(report.degraded_served));
-    os << buffer;
-  }
-  os << "\n  }";
 }
 
 }  // namespace
@@ -165,6 +116,9 @@ int main(int argc, char** argv) {
   traffic.burst_duty = flags.get_double("burst-duty");
   traffic.deadline = flags.get_double("deadline-ms") * 1e-3;
   const auto trace = serve::generate_trace(traffic);
+  // The burst windows lift the mean load above the base rate.
+  const double offered =
+      static_cast<double>(trace.size()) / traffic.duration;
 
   serve::ServerConfig config;
   config.batch.max_batch = max_batch;
@@ -189,10 +143,10 @@ int main(int argc, char** argv) {
   const std::string chaos_spec = flags.get_string("chaos");
   std::printf(
       "chaos acceptance: %zu requests over %.1fs (%.0f req/s offered, "
-      "%s, %s)\n"
+      "base rate %.0f, %s, %s)\n"
       "fleet: %d replicas (%d int8), hedge %s, shed %s\n"
       "schedule: %s (seed %lld)\n\n",
-      trace.size(), traffic.duration, rate, model.name.c_str(),
+      trace.size(), traffic.duration, offered, rate, model.name.c_str(),
       spec.name.c_str(), replicas, int8_replicas,
       config.fleet.hedge.enabled ? "on" : "off",
       config.fleet.shed.enabled ? "on" : "off", chaos_spec.c_str(),
@@ -234,23 +188,39 @@ int main(int argc, char** argv) {
       "SLO gap vs fault-free: %.1f points (target: <= 10)\n",
       static_cast<long long>(chaos.failed), slo_gap * 100.0);
 
-  std::ofstream json(flags.get_string("json"));
-  json << "{\n";
-  char header[384];
-  std::snprintf(header, sizeof(header),
-                "  \"model\": \"%s\",\n  \"offered_rate_rps\": %.1f,\n"
-                "  \"duration_s\": %.1f,\n  \"replicas\": %d,\n"
-                "  \"int8_replicas\": %d,\n  \"chaos_spec\": \"%s\",\n",
-                model.name.c_str(), rate, traffic.duration, replicas,
-                int8_replicas, chaos_spec.c_str());
-  json << header;
-  json_block(json, "clean", clean, false);
-  json << ",\n";
-  json_block(json, "chaos", chaos, true);
-  char tail[96];
-  std::snprintf(tail, sizeof(tail), ",\n  \"slo_gap_points\": %.2f\n}\n",
-                slo_gap * 100.0);
-  json << tail;
-  std::printf("JSON written to %s\n", flags.get_string("json").c_str());
+  bench::Report report;
+  report.add("model", model.name);
+  report.add("offered_rate_rps", offered, 1);
+  report.add("duration_s", traffic.duration, 1);
+  report.add("replicas", replicas, 0);
+  report.add("int8_replicas", int8_replicas, 0);
+  report.add("chaos_spec", chaos_spec);
+  const auto block = [&](const char* name, const serve::ServingReport& r,
+                         bool fleet) {
+    report.begin(name);
+    report.add("goodput_rps", r.goodput(), 3, bench::kHigher);
+    report.add("throughput_rps", r.throughput, 3, bench::kHigher);
+    report.add("slo_attainment", r.slo_attainment(), 4,
+               bench::higher_within(0.02));
+    report.add("availability", availability(r), 4, bench::higher_within(0.02));
+    report.add("reject_rate", r.reject_rate(), 4, bench::lower_within(0.02));
+    report.add("p99_ms", r.p99 * 1e3, 4, bench::kLower);
+    report.add("completed", r.completed, 0);
+    report.add("failed", r.failed, 0);
+    if (fleet) {
+      report.add("recovery_s", r.time_to_recovery, 4, bench::kLower);
+      report.add("deaths", r.deaths, 0);
+      report.add("respawns", r.respawns, 0);
+      report.add("replicas_lost", r.replicas_lost, 0);
+      report.add("crash_redispatches", r.crash_redispatches, 0);
+      report.add("hedges_won", r.hedges_won, 0);
+      report.add("degraded_served", r.degraded_served, 0);
+    }
+    report.end();
+  };
+  block("clean", clean, false);
+  block("chaos", chaos, true);
+  report.add("slo_gap_points", slo_gap * 100.0, 2);
+  report.write(flags.get_string("json"));
   return 0;
 }

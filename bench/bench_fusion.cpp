@@ -9,7 +9,6 @@
 // efficiency side and exports BENCH_fusion.json for the CI regression
 // gate. Exits non-zero when the launch-reduction floor is missed.
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "core/cli.hpp"
@@ -20,25 +19,18 @@
 #include "graph/passes.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
+#include "report.hpp"
 #include "simgpu/device.hpp"
 #include "simgpu/spec.hpp"
 
 namespace {
 
 dcn::detect::SppNetConfig pick_model(std::int64_t candidate) {
-  switch (candidate) {
-    case 0:
-      return dcn::detect::original_sppnet();
-    case 1:
-      return dcn::detect::sppnet_candidate1();
-    case 2:
-      return dcn::detect::sppnet_candidate2();
-    case 3:
-      return dcn::detect::sppnet_candidate3();
-    default:
-      throw dcn::ConfigError("--candidate must be 0..3, got " +
-                             std::to_string(candidate));
+  if (candidate < 0 || candidate > 3) {
+    throw dcn::ConfigError("--candidate must be 0..3, got " +
+                           std::to_string(candidate));
   }
+  return dcn::detect::table1_models()[static_cast<std::size_t>(candidate)];
 }
 
 }  // namespace
@@ -108,30 +100,19 @@ int main(int argc, char** argv) {
   std::printf("latency speedup: %.3fx fp32, %.3fx int8\n", fp32_speedup,
               int8_speedup);
 
-  std::ofstream json(flags.get_string("json"));
-  char buffer[768];
-  std::snprintf(buffer, sizeof(buffer),
-                "{\n"
-                "  \"model\": \"%s\",\n"
-                "  \"input\": %lld,\n"
-                "  \"batch\": %lld,\n"
-                "  \"naive_launches\": %zu,\n"
-                "  \"fused_launches\": %zu,\n"
-                "  \"launch_reduction\": %.4f,\n"
-                "  \"naive_fp32_latency_ms\": %.6f,\n"
-                "  \"fused_fp32_latency_ms\": %.6f,\n"
-                "  \"naive_int8_latency_ms\": %.6f,\n"
-                "  \"fused_int8_latency_ms\": %.6f,\n"
-                "  \"fp32_speedup\": %.4f,\n"
-                "  \"int8_speedup\": %.4f\n"
-                "}\n",
-                model.name.c_str(),
-                static_cast<long long>(flags.get_int("input")),
-                static_cast<long long>(batch), naive_launches, fused_launches,
-                reduction, naive_fp32 * 1e3, fused_fp32 * 1e3,
-                naive_int8 * 1e3, fused_int8 * 1e3, fp32_speedup,
-                int8_speedup);
-  json << buffer;
-  std::printf("JSON written to %s\n", flags.get_string("json").c_str());
+  bench::Report report;
+  report.add("model", model.name);
+  report.add("input", flags.get_int("input"), 0);
+  report.add("batch", batch, 0);
+  report.add("naive_launches", naive_launches, 0, bench::kLower);
+  report.add("fused_launches", fused_launches, 0, bench::kLower);
+  report.add("launch_reduction", reduction, 4, bench::kHigher);
+  report.add("naive_fp32_latency_ms", naive_fp32 * 1e3, 6, bench::kLower);
+  report.add("fused_fp32_latency_ms", fused_fp32 * 1e3, 6, bench::kLower);
+  report.add("naive_int8_latency_ms", naive_int8 * 1e3, 6, bench::kLower);
+  report.add("fused_int8_latency_ms", fused_int8 * 1e3, 6, bench::kLower);
+  report.add("fp32_speedup", fp32_speedup, 4, bench::kHigher);
+  report.add("int8_speedup", int8_speedup, 4, bench::kHigher);
+  report.write(flags.get_string("json"));
   return reduction_ok ? 0 : 1;
 }

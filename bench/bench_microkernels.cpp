@@ -15,15 +15,12 @@
 // pinned by test_kernels/test_gemm; this bench measures only the speed side
 // and exports BENCH_microkernels.json for the CI regression gate
 // (tools/bench_compare.py). Exits non-zero when either floor is missed.
-//
-// JSON key discipline: only machine-stable values carry gate-classified
-// names (*_speedup_met); raw wall-clock numbers live under *_info leaves so
-// bench_compare treats them as informational — unlike the simulated-device
-// benches, these timings are host-dependent.
+// Unlike the simulated-device benches, its timings are host-dependent, so
+// the JSON gates only the two pass/fail flags; the timings are
+// informational.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -31,6 +28,7 @@
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/time.hpp"
+#include "report.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/registry.hpp"
 #include "tensor/kernels/tuner.hpp"
@@ -75,6 +73,11 @@ std::string shape_key(const Shape& s) {
   return std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
          std::to_string(s.k);
 }
+
+struct ShapeResult {
+  std::string key, tile;
+  double scalar_ms, tuned_ms, default_ms, speedup;
+};
 
 }  // namespace
 
@@ -126,7 +129,7 @@ int main(int argc, char** argv) {
 
   double log_sum = 0.0;
   int tile_ok = 0;
-  std::string per_shape_json;
+  std::vector<ShapeResult> results;
   for (const auto& shape : kShapes) {
     Rng rng(1);
     const auto a = random_matrix(shape.m * shape.k, rng);
@@ -192,22 +195,12 @@ int main(int argc, char** argv) {
                 static_cast<long long>(chosen.nr),
                 shape_tile_ok ? "" : "  TILE-REGRESSION");
 
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    \"%s\": {\n"
-                  "      \"scalar_info\": %.4f,\n"
-                  "      \"tuned_info\": %.4f,\n"
-                  "      \"default_tile_info\": %.4f,\n"
-                  "      \"ratio_info\": %.4f,\n"
-                  "      \"tile\": \"%lldx%lld mc=%lld nc=%lld\"\n"
-                  "    }",
-                  shape_key(shape).c_str(), scalar_ms, tuned_ms, default_ms,
-                  speedup, static_cast<long long>(chosen.mr),
-                  static_cast<long long>(chosen.nr),
-                  static_cast<long long>(chosen.mc),
-                  static_cast<long long>(chosen.nc));
-    if (!per_shape_json.empty()) per_shape_json += ",\n";
-    per_shape_json += buf;
+    results.push_back(
+        {shape_key(shape),
+         std::to_string(chosen.mr) + "x" + std::to_string(chosen.nr) +
+             " mc=" + std::to_string(chosen.mc) +
+             " nc=" + std::to_string(chosen.nc),
+         scalar_ms, tuned_ms, default_ms, speedup});
   }
 
   const int shape_count = static_cast<int>(std::size(kShapes));
@@ -226,26 +219,28 @@ int main(int argc, char** argv) {
 
   const std::string& json_path = flags.get_string("json");
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    char head[1024];
-    std::snprintf(head, sizeof(head),
-                  "{\n"
-                  "  \"active_variant\": \"%s\",\n"
-                  "  \"threads\": 1,\n"
-                  "  \"shapes\": %d,\n"
-                  "  \"geomean_floor\": %.2f,\n"
-                  "  \"geomean_speedup_met\": %d,\n"
-                  "  \"tuned_tile_speedup_met\": %d,\n"
-                  "  \"geomean_ratio_info\": %.4f,\n"
-                  "  \"tuner_tuned_info\": %lld,\n"
-                  "  \"tuner_disk_hits_info\": %lld,\n"
-                  "  \"per_shape\": {\n",
-                  active.name.c_str(), shape_count, floor, geomean_met ? 1 : 0,
-                  tiles_met ? 1 : 0, geomean,
-                  static_cast<long long>(tuner_stats.tuned),
-                  static_cast<long long>(tuner_stats.disk_hits));
-    out << head << per_shape_json << "\n  }\n}\n";
-    std::printf("wrote %s\n", json_path.c_str());
+    bench::Report report;
+    report.add("active_variant", active.name);
+    report.add("threads", 1, 0);
+    report.add("shapes", shape_count, 0);
+    report.add("geomean_floor", floor, 2);
+    report.add("geomean_speedup_met", geomean_met, 0, bench::kHigher);
+    report.add("tuned_tile_speedup_met", tiles_met, 0, bench::kHigher);
+    report.add("geomean_ratio_info", geomean, 4);
+    report.add("tuner_tuned_info", tuner_stats.tuned, 0);
+    report.add("tuner_disk_hits_info", tuner_stats.disk_hits, 0);
+    report.begin("per_shape");
+    for (const ShapeResult& r : results) {
+      report.begin(r.key);
+      report.add("scalar_info", r.scalar_ms, 4);
+      report.add("tuned_info", r.tuned_ms, 4);
+      report.add("default_tile_info", r.default_ms, 4);
+      report.add("ratio_info", r.speedup, 4);
+      report.add("tile", r.tile);
+      report.end();
+    }
+    report.end();
+    report.write(json_path);
   }
 
   return (geomean_met && tiles_met) ? 0 : 1;

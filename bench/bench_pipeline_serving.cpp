@@ -15,7 +15,6 @@
 // accepted-request throughput ratio >= 1.5x at equal-or-better SLO
 // attainment. Results export to BENCH_pipeline.json for the CI gate.
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "graph/passes.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
+#include "report.hpp"
 #include "serve/server.hpp"
 #include "shard/partition.hpp"
 #include "shard/pipeline.hpp"
@@ -37,19 +37,11 @@
 namespace {
 
 dcn::detect::SppNetConfig pick_model(std::int64_t candidate) {
-  switch (candidate) {
-    case 0:
-      return dcn::detect::original_sppnet();
-    case 1:
-      return dcn::detect::sppnet_candidate1();
-    case 2:
-      return dcn::detect::sppnet_candidate2();
-    case 3:
-      return dcn::detect::sppnet_candidate3();
-    default:
-      throw dcn::ConfigError("--candidate must be 0..3, got " +
-                             std::to_string(candidate));
+  if (candidate < 0 || candidate > 3) {
+    throw dcn::ConfigError("--candidate must be 0..3, got " +
+                           std::to_string(candidate));
   }
+  return dcn::detect::table1_models()[static_cast<std::size_t>(candidate)];
 }
 
 /// The residency a whole-model session needs: full-precision weights plus
@@ -67,29 +59,6 @@ struct FleetResult {
   dcn::serve::ServingReport report;
   double bubble_fraction = 0.0;  // pipeline fleet only
 };
-
-void json_block(std::ofstream& os, const char* name,
-                const FleetResult& fleet) {
-  const dcn::serve::ServingReport& r = fleet.report;
-  char buffer[640];
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"%s\": {\n"
-                "    \"throughput_rps\": %.3f,\n"
-                "    \"p50_ms\": %.4f,\n"
-                "    \"p99_ms\": %.4f,\n"
-                "    \"slo_attainment\": %.4f,\n"
-                "    \"reject_rate\": %.4f,\n"
-                "    \"completed\": %lld,\n"
-                "    \"devices\": %d,\n"
-                "    \"cost_per_request_device_ms\": %.5f,\n"
-                "    \"bubble_fraction\": %.4f\n"
-                "  }",
-                name, r.throughput, r.p50 * 1e3, r.p99 * 1e3,
-                r.slo_attainment(), r.reject_rate(),
-                static_cast<long long>(r.completed), r.devices,
-                r.cost_per_request() * 1e3, fleet.bubble_fraction);
-  os << buffer;
-}
 
 }  // namespace
 
@@ -199,14 +168,16 @@ int main(int argc, char** argv) {
   traffic.diurnal_period = traffic.duration;
   traffic.deadline = flags.get_double("deadline-ms") * 1e-3;
   const auto trace = serve::generate_trace(traffic);
+  const double offered =
+      static_cast<double>(trace.size()) / traffic.duration;
 
   std::printf(
       "model %s (input %lld): residency %.1f MB, device DRAM %.1f MB\n"
       "replica pages %.1f MB/run -> batch-%d service %.3f ms\n"
       "pipeline %dx%d stages (microbatch %lld): batch-%d service %.3f ms, "
       "stage bottleneck %.3f ms\n"
-      "serving %zu requests over %.1fs (%.0f req/s offered, %.2fx replica "
-      "capacity)\n\n",
+      "serving %zu requests over %.1fs (%.0f req/s offered, base rate "
+      "%.0f = %.2fx replica capacity)\n\n",
       model.name.c_str(), static_cast<long long>(flags.get_int("input")),
       static_cast<double>(whole_bytes) / 1e6,
       static_cast<double>(spec.dram_bytes) / 1e6,
@@ -214,7 +185,8 @@ int main(int argc, char** argv) {
       replica_batch_seconds * 1e3, groups, stages,
       static_cast<long long>(microbatch), max_batch,
       pipeline_batch_seconds * 1e3, partition.bottleneck_seconds * 1e3,
-      trace.size(), traffic.duration, rate, rate / replica_capacity);
+      trace.size(), traffic.duration, offered, rate,
+      rate / replica_capacity);
 
   serve::ServerConfig base_config;
   base_config.batch.max_batch = max_batch;
@@ -294,33 +266,42 @@ int main(int argc, char** argv) {
       ratio, pipeline.report.slo_attainment() * 1e2,
       replica.report.slo_attainment() * 1e2);
 
-  std::ofstream json(flags.get_string("json"));
-  json << "{\n";
-  char header[512];
-  std::snprintf(
-      header, sizeof(header),
-      "  \"model\": \"%s\",\n  \"input\": %lld,\n  \"devices\": %d,\n"
-      "  \"stages\": %d,\n  \"groups\": %d,\n  \"microbatch\": %lld,\n"
-      "  \"dram_mb\": %.2f,\n  \"model_resident_mb\": %.2f,\n"
-      "  \"paged_mb_per_run\": %.2f,\n  \"offered_rate_rps\": %.1f,\n"
-      "  \"duration_s\": %.2f,\n  \"requests\": %lld,\n",
-      model.name.c_str(), static_cast<long long>(flags.get_int("input")),
-      devices, stages, groups, static_cast<long long>(microbatch),
-      static_cast<double>(spec.dram_bytes) / 1e6,
-      static_cast<double>(whole_bytes) / 1e6,
-      static_cast<double>(paged_bytes) / 1e6, rate, traffic.duration,
-      static_cast<long long>(trace.size()));
-  json << header;
-  json_block(json, "replica", replica);
-  json << ",\n";
-  json_block(json, "pipeline", pipeline);
-  char tail[160];
-  std::snprintf(tail, sizeof(tail),
-                ",\n  \"throughput_ratio\": %.3f,\n"
-                "  \"bubble_fraction\": %.4f\n}\n",
-                ratio, pipeline.bubble_fraction);
-  json << tail;
-  std::printf("JSON written to %s\n", flags.get_string("json").c_str());
+  bench::Report report;
+  report.add("model", model.name);
+  report.add("input", flags.get_int("input"), 0);
+  report.add("devices", devices, 0);
+  report.add("stages", stages, 0);
+  report.add("groups", groups, 0);
+  report.add("microbatch", microbatch, 0);
+  report.add("dram_mb", static_cast<double>(spec.dram_bytes) / 1e6, 2);
+  report.add("model_resident_mb", static_cast<double>(whole_bytes) / 1e6, 2);
+  report.add("paged_mb_per_run", static_cast<double>(paged_bytes) / 1e6, 2);
+  report.add("offered_rate_rps", offered, 1);
+  report.add("duration_s", traffic.duration, 2);
+  report.add("requests", trace.size(), 0);
+  const auto block = [&](const char* name, const FleetResult& fleet) {
+    const serve::ServingReport& r = fleet.report;
+    report.begin(name);
+    report.add("throughput_rps", r.throughput, 3, bench::kHigher);
+    report.add("p50_ms", r.p50 * 1e3, 4, bench::kLower);
+    report.add("p99_ms", r.p99 * 1e3, 4, bench::kLower);
+    report.add("slo_attainment", r.slo_attainment(), 4,
+               bench::higher_within(0.02));
+    report.add("reject_rate", r.reject_rate(), 4, bench::lower_within(0.02));
+    report.add("completed", r.completed, 0);
+    report.add("devices", r.devices, 0);
+    report.add("cost_per_request_device_ms", r.cost_per_request() * 1e3, 5,
+               bench::kLower);
+    report.add("bubble_fraction", fleet.bubble_fraction, 4,
+               bench::lower_within(0.02));
+    report.end();
+  };
+  block("replica", replica);
+  block("pipeline", pipeline);
+  report.add("throughput_ratio", ratio, 3, bench::kHigher);
+  report.add("bubble_fraction", pipeline.bubble_fraction, 4,
+             bench::lower_within(0.02));
+  report.write(flags.get_string("json"));
 
   // The acceptance gate: fail loudly so CI catches a regression even
   // before bench_compare diffs the JSON against the committed baseline.

@@ -10,7 +10,6 @@
 // JSON is byte-stable across hosts and usable as a CI regression baseline.
 // Exits non-zero when either acceptance target is missed.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +26,7 @@
 #include "graph/builder.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
+#include "report.hpp"
 #include "simgpu/device.hpp"
 #include "simgpu/kernels.hpp"
 #include "simgpu/spec.hpp"
@@ -34,19 +34,11 @@
 namespace {
 
 dcn::detect::SppNetConfig pick_model(std::int64_t candidate) {
-  switch (candidate) {
-    case 0:
-      return dcn::detect::original_sppnet();
-    case 1:
-      return dcn::detect::sppnet_candidate1();
-    case 2:
-      return dcn::detect::sppnet_candidate2();
-    case 3:
-      return dcn::detect::sppnet_candidate3();
-    default:
-      throw dcn::ConfigError("--candidate must be 0..3, got " +
-                             std::to_string(candidate));
+  if (candidate < 0 || candidate > 3) {
+    throw dcn::ConfigError("--candidate must be 0..3, got " +
+                           std::to_string(candidate));
   }
+  return dcn::detect::table1_models()[static_cast<std::size_t>(candidate)];
 }
 
 }  // namespace
@@ -151,26 +143,16 @@ int main(int argc, char** argv) {
   std::printf("AP drop: %.2f points (budget %.2f) %s\n", ap_drop_points,
               ap_budget, accuracy_ok ? "OK" : "FAIL");
 
-  std::ofstream json(flags.get_string("json"));
-  char buffer[768];
-  std::snprintf(buffer, sizeof(buffer),
-                "{\n"
-                "  \"model\": \"%s\",\n"
-                "  \"input\": %lld,\n"
-                "  \"batch\": %lld,\n"
-                "  \"fp32_latency_ms\": %.6f,\n"
-                "  \"int8_latency_ms\": %.6f,\n"
-                "  \"speedup\": %.4f,\n"
-                "  \"fp32_ap\": %.4f,\n"
-                "  \"int8_ap\": %.4f,\n"
-                "  \"ap_drop_points\": %.4f\n"
-                "}\n",
-                model_config.name.c_str(),
-                static_cast<long long>(flags.get_int("input")),
-                static_cast<long long>(batch), fp32_latency * 1e3,
-                int8_latency * 1e3, speedup, fp32_ap, int8_ap,
-                ap_drop_points);
-  json << buffer;
-  std::printf("JSON written to %s\n", flags.get_string("json").c_str());
+  bench::Report report;
+  report.add("model", model_config.name);
+  report.add("input", flags.get_int("input"), 0);
+  report.add("batch", batch, 0);
+  report.add("fp32_latency_ms", fp32_latency * 1e3, 6, bench::kLower);
+  report.add("int8_latency_ms", int8_latency * 1e3, 6, bench::kLower);
+  report.add("speedup", speedup, 4, bench::kHigher);
+  report.add("fp32_ap", fp32_ap, 4, bench::higher_within(0.02));
+  report.add("int8_ap", int8_ap, 4, bench::higher_within(0.02));
+  report.add("ap_drop_points", ap_drop_points, 4, bench::lower_within(2.0));
+  report.write(flags.get_string("json"));
   return speedup_ok && accuracy_ok ? 0 : 1;
 }

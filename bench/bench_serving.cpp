@@ -9,7 +9,6 @@
 // max_batch = 1. Results (throughput, p50/p95/p99 latency, reject rate)
 // are printed and exported to BENCH_serving.json for CI trend tracking.
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "core/cli.hpp"
@@ -20,6 +19,7 @@
 #include "graph/passes.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
+#include "report.hpp"
 #include "serve/server.hpp"
 #include "simgpu/device.hpp"
 #include "simgpu/faults.hpp"
@@ -27,41 +27,11 @@
 namespace {
 
 dcn::detect::SppNetConfig pick_model(std::int64_t candidate) {
-  switch (candidate) {
-    case 0:
-      return dcn::detect::original_sppnet();
-    case 1:
-      return dcn::detect::sppnet_candidate1();
-    case 2:
-      return dcn::detect::sppnet_candidate2();
-    case 3:
-      return dcn::detect::sppnet_candidate3();
-    default:
-      throw dcn::ConfigError("--candidate must be 0..3, got " +
-                             std::to_string(candidate));
+  if (candidate < 0 || candidate > 3) {
+    throw dcn::ConfigError("--candidate must be 0..3, got " +
+                           std::to_string(candidate));
   }
-}
-
-void json_block(std::ofstream& os, const char* name,
-                const dcn::serve::ServingReport& report) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"%s\": {\n"
-                "    \"throughput_rps\": %.3f,\n"
-                "    \"p50_ms\": %.4f,\n"
-                "    \"p95_ms\": %.4f,\n"
-                "    \"p99_ms\": %.4f,\n"
-                "    \"reject_rate\": %.4f,\n"
-                "    \"slo_attainment\": %.4f,\n"
-                "    \"completed\": %lld,\n"
-                "    \"mean_batch_size\": %.3f\n"
-                "  }",
-                name, report.throughput, report.p50 * 1e3, report.p95 * 1e3,
-                report.p99 * 1e3, report.reject_rate(),
-                report.slo_attainment(),
-                static_cast<long long>(report.completed),
-                report.mean_batch_size);
-  os << buffer;
+  return dcn::detect::table1_models()[static_cast<std::size_t>(candidate)];
 }
 
 }  // namespace
@@ -125,11 +95,15 @@ int main(int argc, char** argv) {
   traffic.diurnal_period = traffic.duration;
   traffic.deadline = flags.get_double("deadline-ms") * 1e-3;
   const auto trace = serve::generate_trace(traffic);
+  // Bursts and the diurnal swing lift the mean load above the base rate.
+  const double offered =
+      static_cast<double>(trace.size()) / traffic.duration;
 
   std::printf(
-      "serving %zu requests over %.1fs (%.0f req/s offered, %s, %s)\n"
+      "serving %zu requests over %.1fs (%.0f req/s offered, base rate "
+      "%.0f, %s, %s)\n"
       "serial latency %.3f ms/inference -> capacity %.0f req/s\n\n",
-      trace.size(), traffic.duration, rate, model.name.c_str(),
+      trace.size(), traffic.duration, offered, rate, model.name.c_str(),
       spec.name.c_str(), serial_latency * 1e3, 1.0 / serial_latency);
 
   const auto run = [&](const ios::Schedule& schedule, int batch) {
@@ -176,22 +150,28 @@ int main(int argc, char** argv) {
               "load (target: >= 2x)\n",
               speedup);
 
-  std::ofstream json(flags.get_string("json"));
-  json << "{\n";
-  char header[256];
-  std::snprintf(header, sizeof(header),
-                "  \"model\": \"%s\",\n  \"offered_rate_rps\": %.1f,\n"
-                "  \"duration_s\": %.1f,\n  \"max_batch\": %d,\n"
-                "  \"replicas\": %d,\n",
-                model.name.c_str(), rate, traffic.duration, max_batch,
-                static_cast<int>(flags.get_int("replicas")));
-  json << header;
-  json_block(json, "serial", serial);
-  json << ",\n";
-  json_block(json, "dynamic", dynamic);
-  char tail[64];
-  std::snprintf(tail, sizeof(tail), ",\n  \"speedup\": %.3f\n}\n", speedup);
-  json << tail;
-  std::printf("JSON written to %s\n", flags.get_string("json").c_str());
+  bench::Report report;
+  report.add("model", model.name);
+  report.add("offered_rate_rps", offered, 1);
+  report.add("duration_s", traffic.duration, 1);
+  report.add("max_batch", max_batch, 0);
+  report.add("replicas", flags.get_int("replicas"), 0);
+  const auto block = [&](const char* name, const serve::ServingReport& r) {
+    report.begin(name);
+    report.add("throughput_rps", r.throughput, 3, bench::kHigher);
+    report.add("p50_ms", r.p50 * 1e3, 4, bench::kLower);
+    report.add("p95_ms", r.p95 * 1e3, 4, bench::kLower);
+    report.add("p99_ms", r.p99 * 1e3, 4, bench::kLower);
+    report.add("reject_rate", r.reject_rate(), 4, bench::lower_within(0.02));
+    report.add("slo_attainment", r.slo_attainment(), 4,
+               bench::higher_within(0.02));
+    report.add("completed", r.completed, 0);
+    report.add("mean_batch_size", r.mean_batch_size, 3);
+    report.end();
+  };
+  block("serial", serial);
+  block("dynamic", dynamic);
+  report.add("speedup", speedup, 3, bench::kHigher);
+  report.write(flags.get_string("json"));
   return 0;
 }

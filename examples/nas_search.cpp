@@ -19,7 +19,6 @@
 #include "detect/quantized_sppnet.hpp"
 #include "detect/trainer.hpp"
 #include "geo/dataset.hpp"
-#include "nas/experiment.hpp"
 #include "nas/runner.hpp"
 #include "nas/selection.hpp"
 
@@ -33,8 +32,6 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 2023, "search + data seed");
   flags.add_string("strategy", "random", "random | evolution | grid");
   flags.add_string("csv", "nas_trials.csv", "trial export path");
-  flags.add_string("experiment", "nas_experiment.txt",
-                   "experiment record (reloadable via nas::load_experiment)");
   flags.add_string("faults", "",
                    "fault plan, e.g. 'launch:p=0.05;memcpy_slow:at=3' "
                    "(empty = no injection)");
@@ -206,9 +203,6 @@ int main(int argc, char** argv) {
 
   std::ofstream csv(flags.get_string("csv"));
   csv << db.to_csv();
-  nas::save_experiment(db, flags.get_string("experiment"));
-  std::printf("\ntrials exported to %s; experiment record in %s\n",
-              flags.get_string("csv").c_str(),
-              flags.get_string("experiment").c_str());
+  std::printf("\ntrials exported to %s\n", flags.get_string("csv").c_str());
   return 0;
 }

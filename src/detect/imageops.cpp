@@ -41,29 +41,6 @@ Tensor bilinear_resize(const Tensor& image, std::int64_t out_h,
   return out;
 }
 
-Tensor center_crop(const Tensor& image, std::int64_t size) {
-  DCN_CHECK(image.rank() == 3) << "crop expects [C, H, W]";
-  DCN_CHECK(size > 0) << "crop size";
-  const std::int64_t channels = image.dim(0);
-  const std::int64_t h = image.dim(1);
-  const std::int64_t w = image.dim(2);
-  const std::int64_t r0 = h / 2 - size / 2;
-  const std::int64_t c0 = w / 2 - size / 2;
-  Tensor out(Shape{channels, size, size});
-  for (std::int64_t c = 0; c < channels; ++c) {
-    const float* src = image.data() + c * h * w;
-    float* dst = out.data() + c * size * size;
-    for (std::int64_t r = 0; r < size; ++r) {
-      const std::int64_t sr = std::clamp<std::int64_t>(r0 + r, 0, h - 1);
-      for (std::int64_t cc = 0; cc < size; ++cc) {
-        const std::int64_t sc = std::clamp<std::int64_t>(c0 + cc, 0, w - 1);
-        dst[r * size + cc] = src[sr * w + sc];
-      }
-    }
-  }
-  return out;
-}
-
 Tensor crop_box(const Tensor& image, const float box[4]) {
   DCN_CHECK(image.rank() == 3) << "crop_box expects [C, H, W]";
   const std::int64_t channels = image.dim(0);

@@ -13,10 +13,6 @@ namespace dcn::detect {
 Tensor bilinear_resize(const Tensor& image, std::int64_t out_h,
                        std::int64_t out_w);
 
-/// Center crop of a [C, H, W] tensor to [C, size, size]; edge-clamped when
-/// the source is smaller than the crop.
-Tensor center_crop(const Tensor& image, std::int64_t size);
-
 /// Crop the (cx, cy, w, h)-normalized box region from a [C, H, W] tensor
 /// (at least 2x2 pixels).
 Tensor crop_box(const Tensor& image, const float box[4]);

@@ -120,34 +120,4 @@ PatchSample flip_vertical(const PatchSample& sample) {
   return out;
 }
 
-PatchSample rotate90(const PatchSample& sample) {
-  DCN_CHECK(sample.image.dim(1) == sample.image.dim(2))
-      << "rotate90 requires square patches, got "
-      << sample.image.shape().to_string();
-  PatchSample out;
-  out.label = sample.label;
-  const std::int64_t channels = sample.image.dim(0);
-  const std::int64_t size = sample.image.dim(1);
-  out.image = Tensor(sample.image.shape());
-  // Counter-clockwise: dst(r, c) = src(c, size-1-r).
-  for (std::int64_t b = 0; b < channels; ++b) {
-    const float* src = sample.image.data() + b * size * size;
-    float* dst = out.image.data() + b * size * size;
-    for (std::int64_t r = 0; r < size; ++r) {
-      for (std::int64_t c = 0; c < size; ++c) {
-        dst[r * size + c] = src[c * size + (size - 1 - r)];
-      }
-    }
-  }
-  out.box = sample.box;
-  if (sample.label > 0.0f) {
-    // (cx, cy) -> (cy, 1 - cx); width/height swap.
-    out.box[0] = sample.box[1];
-    out.box[1] = 1.0f - sample.box[0];
-    out.box[2] = sample.box[3];
-    out.box[3] = sample.box[2];
-  }
-  return out;
-}
-
 }  // namespace dcn::geo

@@ -53,7 +53,4 @@ bool make_negative(const Orthophoto& photo,
 PatchSample flip_horizontal(const PatchSample& sample);
 PatchSample flip_vertical(const PatchSample& sample);
 
-/// 90-degree counter-clockwise rotation (square patches only; box remapped).
-PatchSample rotate90(const PatchSample& sample);
-
 }  // namespace dcn::geo

@@ -18,19 +18,6 @@ std::optional<Trial> select_constrained(const TrialDatabase& database,
   return best;
 }
 
-std::optional<Trial> select_latency_budget(const TrialDatabase& database,
-                                           double latency_budget_seconds) {
-  std::optional<Trial> best;
-  for (const Trial& t : database.trials()) {
-    if (t.metrics.optimized_latency >= latency_budget_seconds) continue;
-    if (!best || t.metrics.average_precision >
-                     best->metrics.average_precision) {
-      best = t;
-    }
-  }
-  return best;
-}
-
 std::vector<Trial> pareto_front(const TrialDatabase& database) {
   std::vector<Trial> front;
   for (const Trial& candidate : database.trials()) {

@@ -25,11 +25,6 @@ std::optional<Trial> select_constrained(const TrialDatabase& database,
 /// descending accuracy.
 std::vector<Trial> pareto_front(const TrialDatabase& database);
 
-/// The dual formulation: the most accurate trial whose optimized latency
-/// stays under `latency_budget_seconds`; nullopt when none qualifies.
-std::optional<Trial> select_latency_budget(const TrialDatabase& database,
-                                           double latency_budget_seconds);
-
 // --- Precision-expanded selection ------------------------------------------
 //
 // Post-training quantization widens the selection space: every candidate

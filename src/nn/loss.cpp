@@ -63,23 +63,6 @@ LossResult smooth_l1(const Tensor& pred, const Tensor& target,
   return res;
 }
 
-LossResult mse(const Tensor& pred, const Tensor& target) {
-  DCN_CHECK(pred.shape() == target.shape()) << "mse shapes";
-  const std::int64_t n = pred.numel();
-  DCN_CHECK(n > 0) << "mse over empty tensors";
-  LossResult res;
-  res.grad = Tensor(pred.shape());
-  double total = 0.0;
-  const double inv_n = 1.0 / static_cast<double>(n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const double d = static_cast<double>(pred[i]) - target[i];
-    total += d * d;
-    res.grad[i] = static_cast<float>(2.0 * d * inv_n);
-  }
-  res.value = total * inv_n;
-  return res;
-}
-
 LossResult detection_loss(const Tensor& head_out, const Tensor& labels,
                           const Tensor& boxes, double box_weight) {
   DCN_CHECK(head_out.rank() == 2 && head_out.dim(1) == 5)

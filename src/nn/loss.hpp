@@ -27,9 +27,6 @@ LossResult bce_with_logits(const Tensor& logits, const Tensor& targets);
 LossResult smooth_l1(const Tensor& pred, const Tensor& target,
                      const Tensor& mask);
 
-/// Mean squared error (used by tests and as an ablation loss).
-LossResult mse(const Tensor& pred, const Tensor& target);
-
 /// Combined detection loss over head output [N, 5] =
 /// [objectness logit | cx cy w h]. `labels` [N] in {0,1}; `boxes` [N, 4].
 /// total = bce + box_weight * smooth_l1(positives only).

@@ -51,12 +51,6 @@ std::uint64_t fnv1a64(const std::string& s) {
   return h;
 }
 
-bool env_disables_tuner() {
-  const char* v = std::getenv("DCN_TUNER");
-  return v != nullptr &&
-         (std::string(v) == "off" || std::string(v) == "0");
-}
-
 std::string resolve_cache_dir() {
   if (const char* dir = std::getenv("DCN_TUNER_CACHE")) {
     if (*dir != '\0') return dir;
@@ -134,10 +128,7 @@ std::vector<TileConfig> candidates(const KernelVariant& variant,
 
 }  // namespace
 
-TileTuner::TileTuner() {
-  enabled_ = !env_disables_tuner();
-  dir_ = resolve_cache_dir();
-}
+TileTuner::TileTuner() { dir_ = resolve_cache_dir(); }
 
 TileTuner& TileTuner::global() {
   static TileTuner tuner;

@@ -85,7 +85,8 @@ class TileTuner {
   /// Path of the on-disk entry for a key (inside the active cache dir).
   std::string entry_path(const std::string& key);
 
-  /// Enabled by default unless DCN_TUNER=off in the environment.
+  /// Enabled by default; when disabled, every shape class runs the
+  /// variant's default tile.
   void set_enabled(bool enabled);
   bool enabled();
 

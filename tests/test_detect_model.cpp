@@ -255,15 +255,6 @@ TEST(ImageOps, ResizeIdentityWhenSameSize) {
   }
 }
 
-TEST(ImageOps, CenterCrop) {
-  Tensor img(Shape{1, 4, 4});
-  for (std::int64_t i = 0; i < 16; ++i) img[i] = static_cast<float>(i);
-  const Tensor crop = center_crop(img, 2);
-  EXPECT_EQ(crop.shape(), Shape({1, 2, 2}));
-  EXPECT_EQ(crop[0], 5.0f);  // (1,1)
-  EXPECT_EQ(crop[3], 10.0f);
-}
-
 TEST(ImageOps, CropBoxExtractsRegion) {
   Tensor img(Shape{1, 10, 10});
   for (std::int64_t i = 0; i < 100; ++i) img[i] = static_cast<float>(i);

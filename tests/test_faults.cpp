@@ -14,7 +14,6 @@
 #include "graph/builder.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
-#include "nas/experiment.hpp"
 #include "nas/runner.hpp"
 #include "nas/strategy.hpp"
 #include "profiler/recorder.hpp"
@@ -593,35 +592,12 @@ TEST(FaultTolerantNas, TrialCsvRoundTripsExactly) {
   const nas::TrialDatabase back = nas::TrialDatabase::from_csv(csv);
   ASSERT_EQ(back.size(), db.size());
   EXPECT_EQ(back.to_csv(), csv);  // byte-for-byte idempotent
+  // The failed trial's status, attempts and reason survive; the reason's
+  // CSV-significant characters are flattened to ';'.
   EXPECT_EQ(back.trial(1).status, nas::TrialStatus::kFailed);
+  EXPECT_EQ(back.trial(1).attempts, db.trial(1).attempts);
+  EXPECT_EQ(back.trial(1).failure_reason, "boom; with (parens) and 'quotes'");
   EXPECT_THROW(nas::TrialDatabase::from_csv("garbage"), ConfigError);
-}
-
-TEST(FaultTolerantNas, ExperimentRecordCarriesStatus) {
-  nas::TrialDatabase db;
-  nas::Trial t;
-  t.index = 0;
-  t.point.conv1_kernel = 3;
-  t.point.spp_first_level = 2;
-  t.point.fc_sizes = {64};
-  t.status = nas::TrialStatus::kFailed;
-  t.attempts = 2;
-  t.failure_reason = "simulated device hang during profiling";
-  db.add(t);
-  const nas::TrialDatabase back =
-      nas::deserialize_experiment(nas::serialize_experiment(db));
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back.trial(0).status, nas::TrialStatus::kFailed);
-  EXPECT_EQ(back.trial(0).attempts, 2);
-  EXPECT_EQ(back.trial(0).failure_reason,
-            "simulated device hang during profiling");
-  // v1 records (no status fields) still load, defaulting to ok.
-  const nas::TrialDatabase v1 = nas::deserialize_experiment(
-      "nas-experiment v1\n"
-      "trial 0 conv1 3 spp 2 fc 1 64 ap 0.5 seq 0.01 opt 0.005 tput 200 "
-      "params 1000\n");
-  ASSERT_EQ(v1.size(), 1u);
-  EXPECT_EQ(v1.trial(0).status, nas::TrialStatus::kOk);
 }
 
 // The ISSUE acceptance scenario: a campaign with an injected transient

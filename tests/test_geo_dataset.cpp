@@ -327,55 +327,5 @@ TEST(Tiling, DetectionGeoreferencing) {
   EXPECT_NEAR(y, cy, 1e-9);
 }
 
-geo::PatchSample checker_sample() {
-  geo::PatchSample sample;
-  sample.label = 1.0f;
-  sample.image = Tensor(Shape{4, 6, 6});
-  Rng rng(3);
-  sample.image.fill_uniform(rng, 0.0f, 1.0f);
-  sample.box = {0.25f, 0.6f, 0.2f, 0.3f};
-  return sample;
-}
-
-TEST(Rotate90, FourRotationsAreIdentity) {
-  const geo::PatchSample original = checker_sample();
-  geo::PatchSample rotated = original;
-  for (int i = 0; i < 4; ++i) rotated = geo::rotate90(rotated);
-  for (std::int64_t i = 0; i < original.image.numel(); ++i) {
-    ASSERT_EQ(rotated.image[i], original.image[i]) << "pixel " << i;
-  }
-  EXPECT_NEAR(rotated.box[0], original.box[0], 1e-6f);
-  EXPECT_NEAR(rotated.box[1], original.box[1], 1e-6f);
-  EXPECT_EQ(rotated.box[2], original.box[2]);
-}
-
-TEST(Rotate90, BoxFollowsPixels) {
-  // Put a hot pixel at the box center and verify it lands at the rotated
-  // box center.
-  geo::PatchSample sample;
-  sample.label = 1.0f;
-  sample.image = Tensor(Shape{4, 8, 8}, 0.0f);
-  sample.box = {2.5f / 8, 5.5f / 8, 0.25f, 0.25f};  // center pixel (5, 2)
-  sample.image.at({0, 5, 2}) = 9.0f;
-  const geo::PatchSample rotated = geo::rotate90(sample);
-  const auto rx = static_cast<std::int64_t>(rotated.box[0] * 8);
-  const auto ry = static_cast<std::int64_t>(rotated.box[1] * 8);
-  EXPECT_EQ(rotated.image.at({0, ry, rx}), 9.0f);
-}
-
-TEST(Rotate90, SwapsBoxExtents) {
-  geo::PatchSample sample = checker_sample();
-  sample.box = {0.5f, 0.5f, 0.1f, 0.3f};
-  const geo::PatchSample rotated = geo::rotate90(sample);
-  EXPECT_EQ(rotated.box[2], 0.3f);
-  EXPECT_EQ(rotated.box[3], 0.1f);
-}
-
-TEST(Rotate90, RejectsNonSquare) {
-  geo::PatchSample sample;
-  sample.image = Tensor(Shape{4, 6, 8});
-  EXPECT_THROW(geo::rotate90(sample), Error);
-}
-
 }  // namespace
 }  // namespace dcn::geo

@@ -123,19 +123,6 @@ TEST(SmoothL1, GradientMatchesFiniteDifferences) {
       [&](const Tensor& x) { return smooth_l1(x, target, mask); }, pred);
 }
 
-TEST(Mse, KnownValueAndGradient) {
-  Tensor pred(Shape{2});
-  pred[0] = 1.0f;
-  pred[1] = 3.0f;
-  Tensor target(Shape{2});
-  target[0] = 0.0f;
-  target[1] = 1.0f;
-  const LossResult res = mse(pred, target);
-  EXPECT_NEAR(res.value, (1.0 + 4.0) / 2.0, 1e-6);
-  EXPECT_NEAR(res.grad[0], 1.0, 1e-6);   // 2*d/n
-  EXPECT_NEAR(res.grad[1], 2.0, 1e-6);
-}
-
 TEST(DetectionLoss, AssemblesClassificationAndBoxTerms) {
   Tensor head(Shape{2, 5});
   // Sample 0: positive, perfect box.

@@ -1,12 +1,10 @@
-// Tests for NAS: search space, strategies, runner, constrained and
-// latency-budget selection, experiment persistence.
+// Tests for NAS: search space, strategies, runner, constrained selection.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
-#include "nas/experiment.hpp"
 #include "nas/runner.hpp"
 #include "nas/selection.hpp"
 #include "nas/strategy.hpp"
@@ -261,74 +259,6 @@ TEST(Evolution, DeterministicGivenSeed) {
     a.report(*pa, 0.5);
     b.report(*pb, 0.5);
   }
-}
-
-TEST(Selection, LatencyBudgetPicksMostAccurateUnderBudget) {
-  nas::TrialDatabase db;
-  const double ap[3] = {0.98, 0.95, 0.90};
-  const double lat[3] = {5e-4, 3e-4, 1e-4};
-  for (int i = 0; i < 3; ++i) {
-    nas::Trial t;
-    t.index = i;
-    t.point.fc_sizes = {128};
-    t.metrics.average_precision = ap[i];
-    t.metrics.optimized_latency = lat[i];
-    db.add(t);
-  }
-  EXPECT_EQ(nas::select_latency_budget(db, 4e-4)->index, 1);
-  EXPECT_EQ(nas::select_latency_budget(db, 1e-3)->index, 0);
-  EXPECT_FALSE(nas::select_latency_budget(db, 5e-5).has_value());
-}
-
-nas::TrialDatabase sample_experiment() {
-  nas::TrialDatabase db;
-  for (int i = 0; i < 3; ++i) {
-    nas::Trial t;
-    t.index = i;
-    t.point.conv1_kernel = 3 + 2 * i;
-    t.point.spp_first_level = i + 1;
-    t.point.fc_sizes = {128ll << i};
-    t.metrics.average_precision = 0.9 + 0.01 * i;
-    t.metrics.sequential_latency = 5e-4 + 1e-5 * i;
-    t.metrics.optimized_latency = 3e-4 + 1e-5 * i;
-    t.metrics.throughput = 3000.0 - 100.0 * i;
-    t.metrics.parameter_count = 1000000 + i;
-    db.add(t);
-  }
-  return db;
-}
-
-TEST(Experiment, RoundTripPreservesEverything) {
-  const nas::TrialDatabase db = sample_experiment();
-  const std::string text = nas::serialize_experiment(db);
-  const nas::TrialDatabase back = nas::deserialize_experiment(text);
-  ASSERT_EQ(back.size(), db.size());
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    EXPECT_EQ(back.trial(i).index, db.trial(i).index);
-    EXPECT_EQ(back.trial(i).point, db.trial(i).point);
-    EXPECT_DOUBLE_EQ(back.trial(i).metrics.average_precision,
-                     db.trial(i).metrics.average_precision);
-    EXPECT_DOUBLE_EQ(back.trial(i).metrics.optimized_latency,
-                     db.trial(i).metrics.optimized_latency);
-    EXPECT_EQ(back.trial(i).metrics.parameter_count,
-              db.trial(i).metrics.parameter_count);
-  }
-}
-
-TEST(Experiment, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/dcn_experiment.txt";
-  nas::save_experiment(sample_experiment(), path);
-  const nas::TrialDatabase back = nas::load_experiment(path);
-  EXPECT_EQ(back.size(), 3u);
-}
-
-TEST(Experiment, RejectsMalformedInput) {
-  EXPECT_THROW(nas::deserialize_experiment("garbage"), Error);
-  EXPECT_THROW(
-      nas::deserialize_experiment("nas-experiment v1\ntrial x\n"), Error);
-  EXPECT_THROW(nas::deserialize_experiment(
-                   "nas-experiment v1\ntrial 0 conv1 3 spp 2 fc 99\n"),
-               Error);
 }
 
 }  // namespace

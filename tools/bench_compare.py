@@ -2,91 +2,24 @@
 """Compare a benchmark JSON against its committed baseline and gate CI.
 
 Usage:
-    bench_compare.py BASELINE CURRENT [--tolerance 0.02] [--report out.md]
+    bench_compare.py BASELINE CURRENT [--report out.md]
 
-Both files are the JSON exports of bench_quant / bench_serving (flat dicts,
-possibly with one level of nesting). Metrics are classified by key name:
-
-  * ``*_ms`` / ``*latency*``        lower is better, relative tolerance
-  * ``*_launches``                  lower is better, relative tolerance
-  * ``*reduction*``                 higher is better, relative tolerance
-  * ``*throughput*`` / ``*speedup*`` higher is better, relative tolerance
-  * ``*goodput*``                   higher is better, relative tolerance
-  * ``*tiles_per_sec*``             higher is better, relative tolerance
-  * ``*recovery*``                  lower is better, relative tolerance
-  * ``reject_rate``                 lower is better, absolute tolerance 0.02
-  * ``slo_attainment``              higher is better, absolute tolerance 0.02
-  * ``availability``                higher is better, absolute tolerance 0.02
-  * ``bubble_fraction``             lower is better, absolute tolerance 0.02
-  * ``*_ap``                        higher is better, absolute tolerance 0.02
-  * ``ap_drop_points``              lower is better, absolute tolerance 2.0
-  * ``ap_delta_points``             lower is better, absolute tolerance 1.0
-  * anything else                   informational (config echo, counts)
-
-(``throughput_ratio`` — the pipeline-vs-replica gate — matches the
-``*throughput*`` rule: higher is better, relative tolerance.)
-
-The default relative tolerance is 2%: a latency increase or throughput drop
-beyond it fails the gate (exit 1). Improvements never fail. ANY key present
-in the baseline but missing from the current run — numeric metric or config
-echo alike — is a hard failure named in the FAIL line: a bench that
-silently stops reporting a number must not pass. The markdown report
-(written with --report, printed to stdout either way) is uploaded as a CI
-artifact so regressions are diagnosable from the run page.
-
-The benches run on a simulated device with seeded data, so their numbers are
-machine-independent; the tolerance absorbs rounding in the JSON rendering,
-not hardware noise.
+Both files are BENCH_*.json exports (bench/report.hpp), whose ``gates``
+object gives each gated metric's rule, e.g. ``"dynamic.p99_ms": {"better":
+"lower", "relative": 0.02}``: a metric that moves against its better
+direction by more than its tolerance (a fraction of the baseline value, or
+an absolute amount) fails the gate (exit 1). Each metric is held to the
+baseline's gate; metrics without one are informational. A run that declares
+different gates than its baseline fails, so a gate changes only together
+with its committed baseline. ANY key present in the baseline but missing
+from the current run — numeric metric or config echo alike — is a hard
+failure named in the FAIL line. The markdown report (written with --report,
+printed to stdout either way) is uploaded as a CI artifact.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
 import sys
-
-ABS_TOLERANCES = {
-    "reject_rate": 0.02,
-    "slo_attainment": 0.02,
-    # Pipeline idle share: a small absolute creep is schedule noise, more
-    # means the partition balance or the wavefront regressed.
-    "bubble_fraction": 0.02,
-    "ap_drop_points": 2.0,
-    # The cascade's accuracy budget: the bench asserts <= 1.0 AP-point
-    # drop itself, and the gate holds the committed baseline to the same
-    # line so a creeping delta cannot hide behind a passing floor.
-    "ap_delta_points": 1.0,
-}
-
-
-def classify(key):
-    """Return (direction, kind) for a metric key.
-
-    direction: -1 lower-better, +1 higher-better, 0 informational.
-    kind: "relative", "absolute", or "info".
-    """
-    leaf = key.rsplit(".", 1)[-1]
-    if leaf in ("reject_rate", "ap_drop_points", "ap_delta_points"):
-        return -1, "absolute"
-    if leaf in ("slo_attainment", "availability"):
-        return +1, "absolute"
-    if leaf == "bubble_fraction":
-        return -1, "absolute"
-    if leaf.endswith("_ap"):
-        return +1, "absolute"
-    if "recovery" in leaf:
-        return -1, "relative"
-    if leaf.endswith("_launches"):
-        return -1, "relative"
-    if "reduction" in leaf:
-        return +1, "relative"
-    if leaf.endswith("_ms") or "latency" in leaf:
-        return -1, "relative"
-    if "throughput" in leaf or "speedup" in leaf or "goodput" in leaf:
-        return +1, "relative"
-    if "tiles_per_sec" in leaf:
-        return +1, "relative"
-    return 0, "info"
 
 
 def flatten(obj, prefix=""):
@@ -100,11 +33,21 @@ def flatten(obj, prefix=""):
     return flat
 
 
-def compare(baseline, current, rel_tolerance):
+def load(path):
+    """Return (flattened metrics, gates) of one BENCH_*.json file."""
+    with open(path) as f:
+        doc = json.load(f)
+    gates = doc.pop("gates", {})
+    return flatten(doc), gates
+
+
+def compare(baseline, current, gates, current_gates):
     """Yield (key, base, cur, delta_str, status) rows, worst first."""
-    rows = []
+    rows = [(key, gates.get(key), current_gates.get(key), "", "gate")
+            for key in sorted(set(gates) | set(current_gates))
+            if gates.get(key) != current_gates.get(key)]
     for key, base in sorted(baseline.items()):
-        direction, kind = classify(key)
+        gate = gates.get(key)
         if key not in current:
             # Hard failure regardless of type: a key the baseline reports
             # must not silently vanish from a fresh run.
@@ -116,27 +59,24 @@ def compare(baseline, current, rel_tolerance):
             rows.append((key, base, cur, "", status))
             continue
         delta = cur - base
-        if kind == "info" or direction == 0:
+        if gate is None:
             rows.append((key, base, cur, f"{delta:+g}", "info"))
             continue
-        if kind == "absolute":
-            tolerance = ABS_TOLERANCES.get(key.rsplit(".", 1)[-1], 0.02)
-            regressed = direction * delta < -tolerance
-            improved = direction * delta > tolerance
+        direction = 1 if gate["better"] == "higher" else -1
+        if "absolute" in gate:
+            tolerance = gate["absolute"]
             delta_str = f"{delta:+.4f}"
         else:
-            tolerance = rel_tolerance * abs(base)
-            regressed = direction * delta < -tolerance
-            improved = direction * delta > tolerance
+            tolerance = gate["relative"] * abs(base)
             pct = (delta / base * 100.0) if base else float("inf")
             delta_str = f"{pct:+.2f}%"
-        status = "REGRESSION" if regressed else (
-            "improved" if improved else "ok")
+        status = "REGRESSION" if direction * delta < -tolerance else (
+            "improved" if direction * delta > tolerance else "ok")
         rows.append((key, base, cur, delta_str, status))
     for key in sorted(set(current) - set(baseline)):
         rows.append((key, None, current[key], "", "new"))
-    order = {"REGRESSION": 0, "missing": 1, "changed": 2, "improved": 3,
-             "ok": 4, "info": 5, "new": 6}
+    order = {"REGRESSION": 0, "missing": 1, "gate": 2, "changed": 3,
+             "improved": 4, "ok": 5, "info": 6, "new": 7}
     rows.sort(key=lambda r: (order[r[4]], r[0]))
     return rows
 
@@ -152,20 +92,21 @@ def render(rows, baseline_path, current_path):
         fmt = lambda v: "—" if v is None else (
             f"{v:.4f}" if isinstance(v, float) else str(v))
         mark = {"REGRESSION": "❌ REGRESSION", "missing": "❌ missing",
-                "changed": "⚠️ changed", "improved": "✅ improved",
-                "ok": "ok", "info": "info", "new": "new"}[status]
+                "gate": "❌ gate differs", "changed": "⚠️ changed",
+                "improved": "✅ improved", "ok": "ok", "info": "info",
+                "new": "new"}[status]
         lines.append(
             f"| {key} | {fmt(base)} | {fmt(cur)} | {delta} | {mark} |")
-    failed = [r for r in rows if r[4] in ("REGRESSION", "missing")]
+    failed = [r for r in rows if r[4] in ("REGRESSION", "missing", "gate")]
     lines.append("")
     if failed:
-        regressed = [r[0] for r in failed if r[4] == "REGRESSION"]
-        missing = [r[0] for r in failed if r[4] == "missing"]
         parts = []
-        if regressed:
-            parts.append("regressed: " + ", ".join(regressed))
-        if missing:
-            parts.append("missing from current run: " + ", ".join(missing))
+        for status, label in (("REGRESSION", "regressed"),
+                              ("missing", "missing from current run"),
+                              ("gate", "gate differs from baseline")):
+            keys = [r[0] for r in failed if r[4] == status]
+            if keys:
+                parts.append(f"{label}: " + ", ".join(keys))
         lines.append("**FAIL**: {} metric(s) — {}".format(
             len(failed), "; ".join(parts)))
     else:
@@ -178,17 +119,12 @@ def main(argv):
         description="Gate CI on benchmark JSON regressions.")
     parser.add_argument("baseline")
     parser.add_argument("current")
-    parser.add_argument("--tolerance", type=float, default=0.02,
-                        help="relative tolerance (default 2%%)")
     parser.add_argument("--report", help="also write the markdown here")
     args = parser.parse_args(argv)
 
-    with open(args.baseline) as f:
-        baseline = flatten(json.load(f))
-    with open(args.current) as f:
-        current = flatten(json.load(f))
-
-    rows = compare(baseline, current, args.tolerance)
+    baseline, gates = load(args.baseline)
+    current, current_gates = load(args.current)
+    rows = compare(baseline, current, gates, current_gates)
     report, failures = render(rows, args.baseline, args.current)
     if args.report:
         with open(args.report, "w") as f:
