@@ -11,7 +11,8 @@
 // baseline) and once under the chaos schedule. Both runs are pure
 // functions of (config, seed), so the exported goodput / availability /
 // recovery numbers are byte-stable and CI gates them against
-// bench/baselines/BENCH_chaos.json via tools/bench_compare.py.
+// bench/baselines/BENCH_chaos.json via tools/bench_compare.py. A lost
+// accepted request under chaos also exits non-zero.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -206,7 +207,7 @@ int main(int argc, char** argv) {
     report.add("reject_rate", r.reject_rate(), 4, bench::lower_within(0.02));
     report.add("p99_ms", r.p99 * 1e3, 4, bench::kLower);
     report.add("completed", r.completed, 0);
-    report.add("failed", r.failed, 0);
+    report.add("failed", r.failed, 0, bench::lower_within(0));
     if (fleet) {
       report.add("recovery_s", r.time_to_recovery, 4, bench::kLower);
       report.add("deaths", r.deaths, 0);
@@ -222,5 +223,12 @@ int main(int argc, char** argv) {
   block("chaos", chaos, true);
   report.add("slo_gap_points", slo_gap * 100.0, 2);
   report.write(flags.get_string("json"));
+
+  // The zero-loss target fails the run on its own, before bench_compare.
+  if (chaos.failed > 0) {
+    std::fprintf(stderr, "FAIL: %lld accepted requests lost under chaos\n",
+                 static_cast<long long>(chaos.failed));
+    return 1;
+  }
   return 0;
 }

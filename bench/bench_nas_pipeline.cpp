@@ -12,7 +12,6 @@
 #include <fstream>
 
 #include "core/cli.hpp"
-#include "core/error.hpp"
 #include "core/logging.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
@@ -20,9 +19,6 @@
 #include "core/time.hpp"
 #include "detect/trainer.hpp"
 #include "geo/dataset.hpp"
-#include "graph/builder.hpp"
-#include "ios/schedule_cache.hpp"
-#include "ios/scheduler.hpp"
 #include "nas/runner.hpp"
 #include "nas/selection.hpp"
 
@@ -101,58 +97,7 @@ int main(int argc, char** argv) {
     std::printf("\nno trial satisfied the constraint (rerun with more "
                 "epochs/trials)\n");
   }
-  const ios::ScheduleCacheStats campaign_stats =
-      ios::ScheduleCache::global().stats();
-  std::printf(
-      "\ncampaign: %.1f s at %d job(s); schedule cache: %lld/%lld block "
-      "hits, %lld/%lld cost hits\n",
-      campaign_seconds, jobs,
-      static_cast<long long>(campaign_stats.block_hits),
-      static_cast<long long>(campaign_stats.block_hits +
-                             campaign_stats.block_misses),
-      static_cast<long long>(campaign_stats.cost_hits),
-      static_cast<long long>(campaign_stats.cost_hits +
-                             campaign_stats.cost_misses));
-
-  // Schedule-cache ablation: run the scheduling step (IOS DP + analytic
-  // cost) over every coordinate of the §4.2 space, cold (cleared cache)
-  // then warm. The warm/cold ratio is the amortization a cached campaign
-  // sees on its scheduling work — independent of core count, unlike the
-  // --jobs speedup.
-  const auto sweep = [&] {
-    nas::SearchSpace space_for_sweep;
-    double checksum = 0.0;
-    for (const nas::SearchPoint& point : space_for_sweep.enumerate()) {
-      const detect::SppNetConfig model = nas::materialize(point);
-      const graph::Graph g =
-          graph::build_inference_graph(model, data_config.patch_size);
-      const ios::Schedule schedule =
-          ios::optimize_schedule(g, runner_config.device, ios::IosOptions{});
-      checksum += ios::schedule_cost(g, runner_config.device, schedule, 1);
-    }
-    return checksum;
-  };
-  ios::ScheduleCache::global().set_enabled(false);
-  WallTimer cold_timer;
-  const double cold_checksum = sweep();
-  const double cold = cold_timer.seconds();
-  ios::ScheduleCache::global().set_enabled(true);
-  ios::ScheduleCache::global().clear();
-  sweep();  // prime: fills the cache the way a campaign's early trials do
-  WallTimer warm_timer;
-  const double warm_checksum = sweep();
-  const double warm = warm_timer.seconds();
-  const ios::ScheduleCacheStats stats = ios::ScheduleCache::global().stats();
-  DCN_CHECK(cold_checksum == warm_checksum) << "cache changed schedules";
-  std::printf(
-      "schedule-cache ablation (%lld-point space): cold %.3f s, warm %.3f s "
-      "— %.1fx; block hits %lld/%lld, cost hits %lld/%lld\n",
-      static_cast<long long>(nas::SearchSpace{}.size()), cold, warm,
-      warm > 0.0 ? cold / warm : 0.0,
-      static_cast<long long>(stats.block_hits),
-      static_cast<long long>(stats.block_hits + stats.block_misses),
-      static_cast<long long>(stats.cost_hits),
-      static_cast<long long>(stats.cost_hits + stats.cost_misses));
+  std::printf("\ncampaign: %.1f s at %d job(s)\n", campaign_seconds, jobs);
 
   std::ofstream csv(flags.get_string("csv"));
   csv << db.to_csv();

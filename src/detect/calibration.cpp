@@ -1,19 +1,11 @@
 #include "detect/calibration.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
 
 namespace dcn::detect {
-namespace {
-
-// Percentile sample capacity. Must stay even so halving the buffer keeps
-// the decimation pattern exact.
-constexpr std::size_t kMaxSamples = 1u << 15;
-
-}  // namespace
 
 void RangeObserver::observe(const float* values, std::int64_t count) {
   DCN_CHECK(count >= 0) << "observe count " << count;
@@ -24,26 +16,6 @@ void RangeObserver::observe(const float* values, std::int64_t count) {
     } else {
       min_ = std::min(min_, v);
       max_ = std::max(max_, v);
-    }
-    if (count_ + i == next_keep_) {
-      if (samples_.size() == kMaxSamples) {
-        // Compact: drop every other retained value, double the stride. The
-        // survivors are exactly the values a stride of 2*stride_ would have
-        // kept from the start, so the scheme stays order-deterministic.
-        for (std::size_t s = 0; s < kMaxSamples / 2; ++s) {
-          samples_[s] = samples_[2 * s];
-        }
-        samples_.resize(kMaxSamples / 2);
-        stride_ *= 2;
-        // Re-align: keep only elements on the doubled stride.
-        if ((count_ + i) % stride_ != 0) {
-          next_keep_ = count_ + i + stride_ - (count_ + i) % stride_;
-        }
-      }
-      if (count_ + i == next_keep_) {
-        samples_.push_back(v);
-        next_keep_ += stride_;
-      }
     }
   }
   count_ += count;
@@ -59,30 +31,8 @@ float RangeObserver::max_value() const {
   return max_;
 }
 
-std::pair<float, float> RangeObserver::range(
-    const CalibrationOptions& options) const {
-  DCN_CHECK(count_ > 0) << "empty RangeObserver";
-  if (options.method == CalibrationMethod::kMinMax) return {min_, max_};
-  DCN_CHECK(options.percentile > 0.0 && options.percentile <= 1.0)
-      << "percentile " << options.percentile;
-  std::vector<float> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const auto n = static_cast<std::int64_t>(sorted.size());
-  const double tail = (1.0 - options.percentile) / 2.0;
-  const auto pick = [&](double q) {
-    const auto idx = static_cast<std::int64_t>(
-        std::llround(q * static_cast<double>(n - 1)));
-    return sorted[static_cast<std::size_t>(
-        std::clamp<std::int64_t>(idx, 0, n - 1))];
-  };
-  // The clipped range can only shrink the observed one.
-  return {std::max(min_, pick(tail)), std::min(max_, pick(1.0 - tail))};
-}
-
-QuantParams RangeObserver::quant_params(
-    const CalibrationOptions& options) const {
-  const auto [lo, hi] = range(options);
-  return choose_quant_params(lo, hi);
+QuantParams RangeObserver::quant_params() const {
+  return choose_quant_params(min_value(), max_value());
 }
 
 std::vector<std::int64_t> calibration_split(std::int64_t dataset_size,

@@ -2,49 +2,24 @@
 //
 // A RangeObserver watches the float activations feeding each quantized
 // operator while a calibration split runs through the trained network, and
-// turns the observed distribution into the operator's activation
-// QuantParams. Two range rules are supported: plain min/max (exact, but a
-// single outlier stretches the scale and costs resolution everywhere else)
-// and a two-sided percentile clip that keeps a central probability mass —
-// the standard trade of saturating rare outliers for finer steps on the
-// bulk of the distribution.
+// turns the observed min/max range into the operator's activation
+// QuantParams.
 //
-// Everything here is deterministic: the observer subsamples by a fixed
-// decimation scheme (never by random sampling), and the calibration split
-// is drawn from a seeded Rng, so a seed reproduces the whole quantized
-// model bit-for-bit.
+// Everything here is deterministic: the range is a function of the
+// observed values only, and the calibration split is drawn from a seeded
+// Rng, so a seed reproduces the whole quantized model bit-for-bit.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "tensor/quantize.hpp"
 
 namespace dcn::detect {
 
-enum class CalibrationMethod {
-  kMinMax,      // full observed range
-  kPercentile,  // two-sided clip keeping `percentile` central mass
-};
-
-struct CalibrationOptions {
-  CalibrationMethod method = CalibrationMethod::kMinMax;
-  /// Central probability mass kept by kPercentile, in (0, 1]. 0.999 clips
-  /// the most extreme 0.05% at each tail.
-  double percentile = 0.999;
-  /// Images drawn from the calibration dataset (0 = use all of it).
-  std::int64_t max_images = 0;
-  /// Seed for the calibration-split draw.
-  std::uint64_t seed = 0xCA11Bull;
-};
-
-/// Streams activation values and summarizes their range. Percentiles are
-/// estimated over a bounded, deterministically decimated sample: while the
-/// buffer is below capacity every value is kept; when it fills, every other
-/// retained value is dropped and the keep-stride doubles. The estimate is a
-/// function of the observation sequence only — no randomness, no
-/// thread-count dependence.
+/// Streams activation values and tracks their range. The first value
+/// seeds min and max; later values widen them through std::min/std::max,
+/// so a later NaN is ignored and a first NaN makes the range NaN.
 class RangeObserver {
  public:
   void observe(const float* values, std::int64_t count);
@@ -54,20 +29,14 @@ class RangeObserver {
   float min_value() const;
   float max_value() const;
 
-  /// [lo, hi] under the chosen method (kMinMax ignores the percentile).
-  std::pair<float, float> range(const CalibrationOptions& options) const;
-
-  /// Affine u8 parameters covering range() (widened through 0, see
-  /// choose_quant_params).
-  QuantParams quant_params(const CalibrationOptions& options) const;
+  /// Affine u8 parameters covering [min_value(), max_value()] (widened
+  /// through 0, see choose_quant_params).
+  QuantParams quant_params() const;
 
  private:
   float min_ = 0.0f;
   float max_ = 0.0f;
   std::int64_t count_ = 0;
-  std::int64_t stride_ = 1;
-  std::int64_t next_keep_ = 0;  // global element index of the next sample
-  std::vector<float> samples_;
 };
 
 /// Seeded random subset of [0, dataset_size) used for calibration, sorted

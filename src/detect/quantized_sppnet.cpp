@@ -9,8 +9,7 @@
 
 namespace dcn::detect {
 
-QuantizedSppNet::QuantizedSppNet(SppNet& net, const Tensor& calibration,
-                                 const CalibrationOptions& options)
+QuantizedSppNet::QuantizedSppNet(SppNet& net, const Tensor& calibration)
     : config_(net.config()) {
   DCN_CHECK(calibration.rank() == 4 && calibration.dim(0) > 0)
       << "calibration batch must be non-empty NCHW, got "
@@ -32,7 +31,7 @@ QuantizedSppNet::QuantizedSppNet(SppNet& net, const Tensor& calibration,
     q.weights = quantize_weights_per_channel(weight.data(), rows,
                                              weight.numel() / rows);
     q.bias.assign(bias.data(), bias.data() + rows);
-    q.input_params = observer.quant_params(options);
+    q.input_params = observer.quant_params();
     q.relu = i + 1 < layers.size() &&
              dynamic_cast<ReLU*>(&layers.layer(i + 1)) != nullptr;
     activation_params_.push_back(q.input_params);

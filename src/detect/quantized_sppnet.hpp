@@ -32,8 +32,7 @@ class QuantizedSppNet : public Module {
   /// Calibrates on `calibration` (an NCHW float batch run through the float
   /// net layer by layer) and freezes `net`'s weights to int8. `net` is only
   /// used during construction; the quantized model owns everything after.
-  QuantizedSppNet(SppNet& net, const Tensor& calibration,
-                  const CalibrationOptions& options = {});
+  QuantizedSppNet(SppNet& net, const Tensor& calibration);
 
   /// [N,C,H,W] float in -> [N,5] float out (raw head outputs, same contract
   /// as SppNet::forward in eval mode).

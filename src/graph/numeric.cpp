@@ -230,8 +230,7 @@ Tensor NumericExecutor::forward(const Tensor& input) const {
   return run(input, /*int8=*/false, nullptr);
 }
 
-void NumericExecutor::quantize(const Tensor& calibration,
-                               const detect::CalibrationOptions& options) {
+void NumericExecutor::quantize(const Tensor& calibration) {
   if (calibration.rank() != 4 || calibration.dim(0) < 1) {
     throw ConfigError("NumericExecutor::quantize: calibration batch must be "
                       "non-empty NCHW, got " +
@@ -247,7 +246,7 @@ void NumericExecutor::quantize(const Tensor& calibration,
     q.weights = quantize_weights_per_channel(w.weight.data(), rows,
                                              w.weight.numel() / rows);
     q.input_params =
-        observers[static_cast<std::size_t>(node.id)].quant_params(options);
+        observers[static_cast<std::size_t>(node.id)].quant_params();
     quant_[static_cast<std::size_t>(node.id)] = std::move(q);
   }
   quantized_ = true;

@@ -60,8 +60,7 @@ class NumericExecutor {
   /// conv/linear observes the float tensor feeding it — the observation
   /// points of QuantizedSppNet's independent calibration walk) and freeze
   /// conv/linear weights to symmetric per-channel int8.
-  void quantize(const Tensor& calibration,
-                const detect::CalibrationOptions& options = {});
+  void quantize(const Tensor& calibration);
   bool quantized() const { return quantized_; }
 
   /// INT8 inference (requires quantize()): conv/linear nodes run

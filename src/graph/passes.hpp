@@ -16,8 +16,8 @@
 // epilogue stores, but the graph handed to the IOS scheduler still carried
 // one node per op — so the cost model priced a kernel launch and a DRAM
 // round-trip of the pre-activation tensor that the engine never performs.
-// Optimizing *before* IOS DP makes schedules, simulated costs, and
-// schedule-cache keys all see the fused reality.
+// Optimizing *before* IOS DP makes schedules and simulated costs see the
+// fused reality.
 //
 // The result is a pure function of the input graph, and optimizing it again
 // changes nothing.

@@ -7,7 +7,6 @@
 
 #include "core/error.hpp"
 #include "graph/blocks.hpp"
-#include "ios/schedule_cache.hpp"
 #include "simgpu/cost_model.hpp"
 #include "simgpu/kernels.hpp"
 
@@ -49,7 +48,7 @@ class SetScheduler {
     full_ = (Mask{1} << n) - Mask{1};
   }
 
-  /// Minimal modeled latency of the set; fills stages on success.
+  /// Minimal modeled latency of the set; appends its stages to `stages`.
   double solve(std::vector<Stage>& stages) {
     memo_.clear();
     choice_.clear();
@@ -196,54 +195,6 @@ Stage branch_heuristic_stage(const graph::Graph& graph,
   return stage;
 }
 
-// Rebase a cached block solution (stage -> group -> block-local index) onto
-// this graph's operator ids.
-std::vector<Stage> rebase_solution(const BlockSolution& solution,
-                                   const std::vector<OpId>& ops) {
-  std::vector<Stage> stages;
-  stages.reserve(solution.stages.size());
-  for (const auto& stage_indices : solution.stages) {
-    Stage stage;
-    for (const auto& group_indices : stage_indices) {
-      Group group;
-      group.ops.reserve(group_indices.size());
-      for (int i : group_indices) {
-        DCN_CHECK(i >= 0 && static_cast<std::size_t>(i) < ops.size())
-            << "cached solution index out of range";
-        group.ops.push_back(ops[static_cast<std::size_t>(i)]);
-      }
-      stage.groups.push_back(std::move(group));
-    }
-    stages.push_back(std::move(stage));
-  }
-  return stages;
-}
-
-// Inverse of rebase_solution: express DP output stages as block-local
-// indices so the cached form is graph-independent.
-BlockSolution localize_solution(const std::vector<Stage>& stages,
-                                const std::vector<OpId>& ops, double cost) {
-  std::unordered_map<OpId, int> local;
-  local.reserve(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    local[ops[i]] = static_cast<int>(i);
-  }
-  BlockSolution solution;
-  solution.cost = cost;
-  solution.stages.reserve(stages.size());
-  for (const Stage& stage : stages) {
-    std::vector<std::vector<int>> stage_indices;
-    for (const Group& group : stage.groups) {
-      std::vector<int> group_indices;
-      group_indices.reserve(group.ops.size());
-      for (OpId id : group.ops) group_indices.push_back(local.at(id));
-      stage_indices.push_back(std::move(group_indices));
-    }
-    solution.stages.push_back(std::move(stage_indices));
-  }
-  return solution;
-}
-
 }  // namespace
 
 Schedule optimize_schedule(const graph::Graph& graph,
@@ -269,19 +220,8 @@ Schedule optimize_schedule(const graph::Graph& graph,
       schedule.stages.push_back(branch_heuristic_stage(graph, block));
       continue;
     }
-    ScheduleCache& cache = ScheduleCache::global();
-    const std::string key = block_cache_key(graph, ops, spec, options);
-    if (const auto cached = cache.find_block(key)) {
-      for (Stage& stage : rebase_solution(*cached, ops)) {
-        schedule.stages.push_back(std::move(stage));
-      }
-      continue;
-    }
     SetScheduler dp(graph, spec, ops, options);
-    std::vector<Stage> stages;
-    const double cost = dp.solve(stages);
-    cache.insert_block(key, localize_solution(stages, ops, cost));
-    for (Stage& stage : stages) schedule.stages.push_back(std::move(stage));
+    dp.solve(schedule.stages);
   }
   validate_schedule(graph, schedule);
   return schedule;
@@ -290,10 +230,6 @@ Schedule optimize_schedule(const graph::Graph& graph,
 double schedule_cost(const graph::Graph& graph,
                      const simgpu::DeviceSpec& spec, const Schedule& schedule,
                      std::int64_t batch, simgpu::Precision precision) {
-  ScheduleCache& cache = ScheduleCache::global();
-  const std::string key =
-      cost_cache_key(graph, spec, schedule, batch, precision);
-  if (const auto cached = cache.find_cost(key)) return *cached;
   double total = 0.0;
   for (const Stage& stage : schedule.stages) {
     std::vector<std::vector<simgpu::KernelDesc>> groups;
@@ -309,7 +245,6 @@ double schedule_cost(const graph::Graph& graph,
     total += simgpu::stage_seconds(spec, groups, batch) +
              spec.inter_stage_gap;
   }
-  cache.insert_cost(key, total);
   return total;
 }
 

@@ -39,7 +39,7 @@ struct IosOptions {
   std::int64_t batch = 1;
   /// Kernel precision the schedule is optimized for. Int8 kernels have a
   /// different compute/memory balance, so fp32 and int8 DP instances are
-  /// distinct (and their cache keys must never collide).
+  /// distinct.
   simgpu::Precision precision = simgpu::Precision::kFp32;
 };
 

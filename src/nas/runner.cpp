@@ -158,7 +158,6 @@ TrialDatabase run_multi_trial(ExplorationStrategy& strategy,
                               const RunnerConfig& config,
                               const TrialDatabase& resume_from) {
   DCN_CHECK(config.max_trials >= 1) << "max_trials";
-  DCN_CHECK(config.checkpoint_every >= 1) << "checkpoint_every";
   TrialDatabase database;
 
   // Fast-forward: re-propose each completed trial's point (validating the
@@ -247,8 +246,7 @@ TrialDatabase run_multi_trial(ExplorationStrategy& strategy,
       }
     }
     database.add(std::move(trial));
-    if (!config.checkpoint_path.empty() &&
-        static_cast<int>(database.size()) % config.checkpoint_every == 0) {
+    if (!config.checkpoint_path.empty()) {
       write_checkpoint(database, config.checkpoint_path);
     }
     propose();

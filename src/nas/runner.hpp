@@ -10,8 +10,8 @@
 // and keeps searching): a throwing evaluator or a faulted device costs one
 // trial, not the campaign. Retryable faults get bounded re-attempts; every
 // outcome lands in the database with a TrialStatus; and the database is
-// periodically checkpointed to CSV so an interrupted campaign resumes from
-// the last checkpoint instead of restarting.
+// checkpointed to CSV after every trial so an interrupted campaign resumes
+// from the last checkpoint instead of restarting.
 #pragma once
 
 #include <functional>
@@ -71,10 +71,9 @@ struct RunnerConfig {
 
   // --- Checkpointing ------------------------------------------------------
 
-  /// Write the database CSV here every `checkpoint_every` trials (and once
-  /// at the end). Empty disables. Writes are atomic (temp file + rename).
+  /// Write the database CSV here after every committed trial (and once at
+  /// the end). Empty disables. Writes are atomic (temp file + rename).
   std::string checkpoint_path;
-  int checkpoint_every = 1;
 };
 
 /// Run up to config.max_trials trials; returns the populated database.

@@ -3,10 +3,10 @@
 // Span recording captures *when* things happened; counters capture *how
 // often* — cache hits, cache misses, retries — across the whole process,
 // including subsystems that run outside any recorded device session (the
-// IOS schedule cache is consulted at optimization time, before a device
-// exists). render_report appends a Counters section and to_chrome_trace
-// emits one counter ("C") event per name, so the numbers ride along with
-// every profiling artifact.
+// tile tuner runs on the host, with no simulated device at all).
+// render_report appends a Counters section and to_chrome_trace emits one
+// counter ("C") event per name, so the numbers ride along with every
+// profiling artifact.
 #pragma once
 
 #include <cstdint>

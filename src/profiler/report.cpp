@@ -185,9 +185,9 @@ std::string render_report(const Recorder& recorder) {
     os << fleet_table.to_string();
   }
 
-  // Process-wide counters (schedule-cache hits/misses and friends): not an
-  // nsys view, but campaign-level reports need the amortization numbers
-  // next to the timing they explain.
+  // Process-wide counters (tile-tuner cache hits/misses, serving totals):
+  // not an nsys view, but campaign-level reports need the amortization
+  // numbers next to the timing they explain.
   const auto counters = counter_snapshot();
   if (!counters.empty()) {
     os << "\nCounters:\n";

@@ -25,16 +25,6 @@ bool int8_compute_eligible(profiler::KernelCategory category) {
          category == profiler::KernelCategory::kMatMul;
 }
 
-const char* epilogue_name(Epilogue epilogue) {
-  switch (epilogue) {
-    case Epilogue::kNone:
-      return "none";
-    case Epilogue::kReLU:
-      return "relu";
-  }
-  return "none";
-}
-
 profiler::KernelCategory categorize(graph::OpKind kind) {
   switch (kind) {
     case graph::OpKind::kLinear:
@@ -66,8 +56,6 @@ KernelDesc make_kernel_desc(const graph::Graph& graph, graph::OpId id,
   desc.name = node.name;
   desc.category = categorize(node.kind);
   desc.precision = precision;
-  desc.epilogue = graph::is_fused_kind(node.kind) ? Epilogue::kReLU
-                                                  : Epilogue::kNone;
   if (!graph::is_device_op(node.kind)) return desc;
 
   // 1 byte per element instead of 4 for both activations and weights; the

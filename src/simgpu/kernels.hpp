@@ -29,21 +29,10 @@ Precision precision_from_name(const std::string& name);
 /// quarter-width memory traffic).
 bool int8_compute_eligible(profiler::KernelCategory category);
 
-/// Operation fused into a kernel's output store (the graph optimizer's
-/// FusedConvReLU / FusedLinearReLU nodes). Deliberately part of a kernel's
-/// *identity*, not its work profile: the epilogue is free in the cost model
-/// (it rides registers already being written back), which makes a fused
-/// kernel's flops/bytes/threads identical to its unfused base op's — so
-/// anything keying kernels by work profile alone would collide the two.
-enum class Epilogue { kNone = 0, kReLU = 1 };
-
-const char* epilogue_name(Epilogue epilogue);
-
 struct KernelDesc {
   std::string name;
   profiler::KernelCategory category = profiler::KernelCategory::kConv;
   Precision precision = Precision::kFp32;
-  Epilogue epilogue = Epilogue::kNone;
   /// FLOPs per sample (MAC count — precision-independent; the cost model
   /// applies the int8 throughput multiplier for eligible categories).
   double flops_per_sample = 0.0;

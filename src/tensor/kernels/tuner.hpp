@@ -1,13 +1,14 @@
 // Autotuner for micro-tile and cache-blocking parameters.
 //
-// Mirrors the IOS schedule cache's design (ios/schedule_cache.hpp): a
-// content-addressed memo keyed canonically — here by (kernel variant,
-// precision, shape class) — with hit/miss counters surfaced through the
-// profiler report. Two storage tiers: an in-process map for the hot path
-// and an on-disk cache (one file per key under DCN_TUNER_CACHE, default
-// ~/.cache/dcn-tuner) so winners survive across processes; a corrupted or
-// stale entry is detected by re-checking the full key and the variant's
-// tile table, counted as tuner_cache.corrupt, and silently re-tuned.
+// A content-addressed memo keyed canonically by (kernel variant,
+// precision, shape class), with hit/miss counters surfaced through the
+// profiler report. A cold tune costs hundreds of milliseconds per shape
+// class, which is what the memo saves. Two storage tiers: an in-process
+// map for the hot path and an on-disk cache (one file per key under
+// DCN_TUNER_CACHE, default ~/.cache/dcn-tuner) so winners survive across
+// processes; a corrupted or stale entry is detected by re-checking the
+// full key and the variant's tile table, counted as tuner_cache.corrupt,
+// and silently re-tuned.
 //
 // What is searched: the micro tile (MR x NR) from the active variant's
 // registered set — its sgemm tiles for 'f', its qgemm tiles for 'q' — and,
@@ -20,7 +21,7 @@
 //
 // Shape classes bucket each GEMM dimension to a power of two (exact below
 // 16), so e.g. every conv lowering of one layer across NAS trials shares
-// an entry — the same redundancy-collapsing move as the schedule cache.
+// an entry.
 #pragma once
 
 #include <condition_variable>

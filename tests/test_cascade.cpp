@@ -7,9 +7,6 @@
 //     at any replica count,
 //   - the threshold calibrator's constrained choice (pinned exactly on a
 //     hand-built sweep; determinism on the real pipeline),
-//   - ios schedule-cache keys: same block structure, different tensor
-//     shapes must not collide (screener vs full SPP-Net sharing the
-//     process-global cache),
 //   - per-pool serving counters and occupancy reporting.
 #include <gtest/gtest.h>
 
@@ -27,14 +24,12 @@
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "ios/executor.hpp"
-#include "ios/schedule_cache.hpp"
 #include "ios/scheduler.hpp"
 #include "profiler/counters.hpp"
 #include "scan/calibrate.hpp"
 #include "scan/cascade.hpp"
 #include "scan/pipeline.hpp"
 #include "scan/screener.hpp"
-#include "simgpu/kernels.hpp"
 #include "simgpu/spec.hpp"
 
 namespace dcn::scan {
@@ -445,84 +440,3 @@ TEST(Screener, MaterializedConfigRunsAtTileSize) {
 
 }  // namespace
 }  // namespace dcn::scan
-
-// --- ios schedule-cache shape keys (satellite 6) ---------------------------
-
-namespace dcn::ios {
-namespace {
-
-// Two single-op graphs whose kernels have identical cost profiles (flops,
-// bytes, threads) but different tensor geometry: MaxPool k=2,s=2 over
-// [4,8,8] vs [16,4,4]. Elements in = 256, out = 4*4*4 = 16*2*2 = 64 in
-// both, and pooling does one compare per input element, so every
-// cost-profile field the cache key used to rely on is equal.
-graph::Graph pool_graph(std::int64_t channels, std::int64_t side) {
-  graph::Graph g;
-  const auto in = g.add_op(graph::OpKind::kInput, "in", {}, {},
-                           graph::TensorDesc{{channels, side, side}});
-  graph::OpAttrs pool;
-  pool.kernel = 2;
-  pool.stride = 2;
-  const auto p = g.add_op(graph::OpKind::kMaxPool, "pool", pool, {in},
-                          graph::TensorDesc{{channels, side / 2, side / 2}});
-  g.add_op(graph::OpKind::kOutput, "out", {}, {p},
-           graph::TensorDesc{{channels, side / 2, side / 2}});
-  return g;
-}
-
-std::vector<graph::OpId> device_ops(const graph::Graph& g) {
-  std::vector<graph::OpId> ops;
-  for (const auto& op : g.nodes()) {
-    if (op.kind != graph::OpKind::kInput &&
-        op.kind != graph::OpKind::kOutput) {
-      ops.push_back(op.id);
-    }
-  }
-  return ops;
-}
-
-TEST(ScheduleCacheKeys, ShapePermutationsDoNotCollide) {
-  const graph::Graph a = pool_graph(4, 8);
-  const graph::Graph b = pool_graph(16, 4);
-  const simgpu::DeviceSpec spec = simgpu::a5500_spec();
-  const IosOptions options;
-
-  // Precondition that makes this test meaningful: the cost profiles
-  // really are identical, so only the shape component separates the keys.
-  const auto desc_a = simgpu::make_kernel_desc(a, device_ops(a).front());
-  const auto desc_b = simgpu::make_kernel_desc(b, device_ops(b).front());
-  EXPECT_EQ(desc_a.flops_per_sample, desc_b.flops_per_sample);
-  EXPECT_EQ(desc_a.activation_bytes_per_sample,
-            desc_b.activation_bytes_per_sample);
-  EXPECT_EQ(desc_a.weight_bytes, desc_b.weight_bytes);
-  EXPECT_EQ(desc_a.threads_per_sample, desc_b.threads_per_sample);
-
-  EXPECT_NE(block_cache_key(a, device_ops(a), spec, options),
-            block_cache_key(b, device_ops(b), spec, options));
-
-  const Schedule sched_a = optimize_schedule(a, spec, options);
-  const Schedule sched_b = optimize_schedule(b, spec, options);
-  EXPECT_NE(cost_cache_key(a, spec, sched_a, 1),
-            cost_cache_key(b, spec, sched_b, 1));
-}
-
-TEST(ScheduleCacheKeys, ScreenerAndFullSppBlocksDiffer) {
-  // The production collision risk: the cascade keeps the screener and the
-  // full SPP-Net in one process-global cache. Same block structure, very
-  // different shapes.
-  nas::SearchPoint point;
-  point.conv1_kernel = 3;
-  point.spp_first_level = 2;
-  point.fc_sizes = {32};
-  const graph::Graph screener = graph::build_inference_graph(
-      scan::materialize_screener(point, 8, 4), 48);
-  const graph::Graph full =
-      graph::build_inference_graph(detect::sppnet_candidate2(), 48);
-  const simgpu::DeviceSpec spec = simgpu::a5500_spec();
-  const IosOptions options;
-  EXPECT_NE(block_cache_key(screener, device_ops(screener), spec, options),
-            block_cache_key(full, device_ops(full), spec, options));
-}
-
-}  // namespace
-}  // namespace dcn::ios

@@ -2,7 +2,8 @@
 // threading primitives underneath it (ThreadPool, atomic thread-count
 // knob). The contract: for report-independent strategies, the trial
 // database CSV is byte-identical at any --jobs, including under fault
-// injection and across checkpoint/resume.
+// injection and across checkpoint/resume. Concurrent workers scheduling
+// their trials' graphs get the serial IOS schedules and costs.
 //
 // These tests run under ThreadSanitizer in CI (the `tsan` preset), so they
 // deliberately exercise std::thread concurrency.
@@ -17,9 +18,13 @@
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
+#include "detect/sppnet_config.hpp"
+#include "graph/builder.hpp"
+#include "ios/scheduler.hpp"
 #include "nas/runner.hpp"
 #include "nas/strategy.hpp"
 #include "simgpu/faults.hpp"
+#include "simgpu/spec.hpp"
 
 namespace dcn {
 namespace {
@@ -262,6 +267,55 @@ TEST(ParallelRunner, StopsAtSpaceExhaustionWithWideWindow) {
   const nas::TrialDatabase db = nas::run_multi_trial(
       strategy, proxy_accuracy, quiet_config(100, 6));
   EXPECT_EQ(db.size(), 8u);
+}
+
+// --- Concurrent IOS scheduling ----------------------------------------------
+
+TEST(ConcurrentScheduling, ThreadsGetTheSerialSchedulesAndCosts) {
+  // NAS workers schedule and price their trials' graphs concurrently; each
+  // thread walks every graph, so threads also share graphs.
+  std::vector<detect::SppNetConfig> models{
+      detect::original_sppnet(), detect::sppnet_candidate1(),
+      detect::sppnet_candidate2(), detect::sppnet_candidate3()};
+  for (const std::int64_t conv1 : {1, 9}) {
+    nas::SearchPoint point;
+    point.conv1_kernel = conv1;
+    point.spp_first_level = 3;
+    point.fc_sizes = {512};
+    models.push_back(nas::materialize(point));
+  }
+  const simgpu::DeviceSpec spec = simgpu::a5500_spec();
+  std::vector<graph::Graph> graphs;
+  std::vector<ios::Schedule> serial;
+  std::vector<double> serial_cost;
+  for (const detect::SppNetConfig& model : models) {
+    graphs.push_back(graph::build_inference_graph(model, 40));
+    serial.push_back(ios::optimize_schedule(graphs.back(), spec));
+    serial_cost.push_back(
+        ios::schedule_cost(graphs.back(), spec, serial.back(), 1));
+  }
+
+  const std::size_t n = graphs.size();
+  std::vector<std::vector<ios::Schedule>> schedules(
+      n, std::vector<ios::Schedule>(n));
+  std::vector<std::vector<double>> costs(n, std::vector<double>(n));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < n; ++t) {
+    threads.emplace_back([t, n, &graphs, &spec, &schedules, &costs] {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t g = (t + i) % n;
+        schedules[t][g] = ios::optimize_schedule(graphs[g], spec);
+        costs[t][g] = ios::schedule_cost(graphs[g], spec, schedules[t][g], 1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t g = 0; g < n; ++g) {
+      EXPECT_EQ(schedules[t][g], serial[g]) << models[g].to_notation();
+      EXPECT_EQ(costs[t][g], serial_cost[g]) << models[g].to_notation();
+    }
+  }
 }
 
 }  // namespace

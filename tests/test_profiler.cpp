@@ -6,6 +6,7 @@
 #include "graph/builder.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
+#include "profiler/counters.hpp"
 #include "profiler/report.hpp"
 #include "profiler/trace.hpp"
 #include "simgpu/device.hpp"
@@ -165,6 +166,24 @@ TEST(ChromeTrace, EscapesAndWrites) {
   const std::string path = testing::TempDir() + "/dcn_trace.json";
   profiler::write_chrome_trace(recorder, path);
   SUCCEED();
+}
+
+TEST(Counters, SurfaceInReportAndChromeTrace) {
+  reset_counters();
+  counter_add("test_profiler.events", 3);
+  EXPECT_EQ(counter_value("test_profiler.events"), 3);
+
+  Recorder recorder;
+  const std::string report = render_report(recorder);
+  const std::size_t section = report.find("\nCounters:\n");
+  ASSERT_NE(section, std::string::npos);
+  EXPECT_NE(report.find("test_profiler.events", section), std::string::npos);
+
+  const std::string trace = to_chrome_trace(recorder);
+  EXPECT_NE(trace.find("{\"name\": \"test_profiler.events\", \"cat\": "
+                       "\"counter\", \"ph\": \"C\""),
+            std::string::npos);
+  reset_counters();
 }
 
 TEST(ChromeTrace, FullSimulatedSessionExports) {

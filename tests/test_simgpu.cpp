@@ -170,6 +170,39 @@ TEST(Kernels, TableFromSppNetGraph) {
               4.0 * detect::original_sppnet().parameter_count(), 1.0);
 }
 
+TEST(Kernels, FusedConvReLUCostsWhatItsConvDoes) {
+  // The fused-op accounting contract bench_fusion and bench_fig7_memops
+  // rest on: the ReLU rides the conv's output store for free, so the fused
+  // kernel's work profile is the plain conv's.
+  const auto one_conv = [](graph::OpKind kind) {
+    graph::Graph g;
+    const graph::OpId in = g.add_op(graph::OpKind::kInput, "in", {}, {},
+                                    graph::TensorDesc{{8, 8, 8}});
+    graph::OpAttrs conv;
+    conv.kernel = 3;
+    conv.padding = 1;
+    conv.out_channels = 8;
+    const graph::OpId c =
+        g.add_op(kind, "conv0", conv, {in}, graph::TensorDesc{{8, 8, 8}});
+    g.add_op(graph::OpKind::kOutput, "out", {}, {c},
+             graph::TensorDesc{{8, 8, 8}});
+    return g;
+  };
+  const graph::Graph unfused = one_conv(graph::OpKind::kConv2d);
+  const graph::Graph fused = one_conv(graph::OpKind::kFusedConvReLU);
+  for (const Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    const KernelDesc plain = make_kernel_desc(unfused, 1, precision);
+    const KernelDesc epi = make_kernel_desc(fused, 1, precision);
+    EXPECT_GT(plain.flops_per_sample, 0.0);
+    EXPECT_EQ(plain.flops_per_sample, epi.flops_per_sample);
+    EXPECT_EQ(plain.activation_bytes_per_sample,
+              epi.activation_bytes_per_sample);
+    EXPECT_EQ(plain.weight_bytes, epi.weight_bytes);
+    EXPECT_EQ(plain.threads_per_sample, epi.threads_per_sample);
+    EXPECT_EQ(plain.category, epi.category);
+  }
+}
+
 TEST(Memory, TracksLivePeakAndOom) {
   MemoryTracker tracker;
   const BufferId a = tracker.allocate(100, 1000);

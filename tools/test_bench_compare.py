@@ -178,7 +178,7 @@ MUTATIONS = {
     "BENCH_chaos.json": (
         lost_to_dead_replicas,
         ["chaos.availability", "chaos.goodput_rps", "chaos.throughput_rps",
-         "chaos.slo_attainment"]),
+         "chaos.slo_attainment", "chaos.failed"]),
     # Int8 kernels cost what fp32 ones do.
     "BENCH_quant.json": (
         lambda b: {"int8_latency_ms": b["fp32_latency_ms"], "speedup": 1.0},
@@ -239,6 +239,18 @@ class MutationChecks(unittest.TestCase):
                 code, report = run_compare(baseline, current)
                 self.assertEqual(code, 1, report)
                 self.assertLessEqual(set(keys), failed_keys(report))
+
+    def test_chaos_fails_on_one_lost_request(self):
+        # One lost accepted request moves availability by 1/73762, far
+        # inside its 0.02 tolerance; the zero-loss gate on failed sees it.
+        with open(os.path.join(BASELINES, "BENCH_chaos.json")) as f:
+            baseline = json.load(f)
+        chaos = baseline["chaos"]
+        current = changed(baseline, {
+            "chaos.failed": 1, "chaos.completed": chaos["completed"] - 1})
+        code, report = run_compare(baseline, current)
+        self.assertEqual(code, 1, report)
+        self.assertEqual(failed_keys(report), {"chaos.failed"})
 
 
 if __name__ == "__main__":
