@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   std::printf("[2/3] fixed-input CNN trained\n");
 
   // --- R-CNN lite: proposals + the trained SPP-Net as crop scorer.
-  detect::RcnnLiteDetector rcnn(sppnet, detect::ProposalConfig{});
+  detect::RcnnLiteDetector rcnn(sppnet);
   std::vector<detect::ScoredDetection> detections;
   for (std::size_t idx : split.test) {
     const auto& sample = dataset.sample(idx);

@@ -8,16 +8,19 @@
 #include "graph/builder.hpp"
 #include "ios/executor.hpp"
 #include "ios/scheduler.hpp"
-#include "nn/spp.hpp"
 #include "simgpu/device.hpp"
 
 namespace {
 
 using namespace dcn;
 
-detect::SppNetConfig config_with_levels(std::int64_t first_level) {
+// SPP levels {branches, ..., 2, 1}: one pooling branch per level.
+detect::SppNetConfig config_with_branches(std::int64_t branches) {
   detect::SppNetConfig config = detect::original_sppnet();
-  config.spp_levels = spp_levels_from_first(first_level);
+  config.spp_levels.clear();
+  for (std::int64_t level = branches; level >= 1; --level) {
+    config.spp_levels.push_back(level);
+  }
   return config;
 }
 
@@ -41,16 +44,17 @@ void BM_ExtractBlocks(benchmark::State& state) {
 BENCHMARK(BM_ExtractBlocks);
 
 void BM_IosDp(benchmark::State& state) {
-  // DP cost grows with the branched block (2 ops per pyramid level).
+  // DP cost grows with the branched block: the argument is the number of
+  // SPP branches (2 to 5), each adding 2 ops to the block the DP solves.
   const graph::Graph g = graph::build_inference_graph(
-      config_with_levels(state.range(0)), 100);
+      config_with_branches(state.range(0)), 100);
   const auto spec = simgpu::a5500_spec();
   for (auto _ : state) {
     ios::Schedule schedule = ios::optimize_schedule(g, spec);
     benchmark::DoNotOptimize(schedule.num_stages());
   }
 }
-BENCHMARK(BM_IosDp)->Arg(1)->Arg(3)->Arg(5)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_IosDp)->DenseRange(2, 5)->Unit(benchmark::kMicrosecond);
 
 void BM_BruteForceDp(benchmark::State& state) {
   // Whole-graph DP over every device op — the exponential oracle, for

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
                                      patch, 0.5, transform);
   std::size_t sppnet_hits = 0;
   std::size_t rcnn_hits = 0;
-  detect::RcnnLiteDetector rcnn(model, detect::ProposalConfig{});
+  detect::RcnnLiteDetector rcnn(model);
   std::vector<bool> found_spp(world.crossings.size(), false);
   std::vector<bool> found_rcnn(world.crossings.size(), false);
 

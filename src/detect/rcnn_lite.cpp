@@ -9,6 +9,13 @@
 namespace dcn::detect {
 namespace {
 
+/// Proposal window side as a fraction of the patch side.
+constexpr double kWindowFraction = 0.22;
+/// Non-maximum-suppression radius as a fraction of the patch side.
+constexpr double kNmsRadius = 0.18;
+/// Maximum proposals returned per image.
+constexpr int kMaxProposals = 8;
+
 // Per-pixel crossing-ness: gray road surface (low band spread, mid-high
 // brightness, low NIR) within a small radius of dark open water (very low
 // NIR). Both signatures are spectral only — class-agnostic like an RPN's
@@ -60,8 +67,7 @@ Tensor response_map(const Tensor& image) {
 
 }  // namespace
 
-std::vector<Proposal> propose_regions(const Tensor& image,
-                                      const ProposalConfig& config) {
+std::vector<Proposal> propose_regions(const Tensor& image) {
   DCN_CHECK(image.rank() == 3 && image.dim(0) == 4)
       << "propose_regions expects [4, H, W]";
   const std::int64_t h = image.dim(1);
@@ -71,7 +77,7 @@ std::vector<Proposal> propose_regions(const Tensor& image,
   // Integrate the response over the proposal window at a coarse stride and
   // keep local maxima (greedy NMS by center distance).
   const auto win = std::max<std::int64_t>(
-      8, static_cast<std::int64_t>(config.window_fraction * std::min(h, w)));
+      8, static_cast<std::int64_t>(kWindowFraction * std::min(h, w)));
   const std::int64_t stride = std::max<std::int64_t>(2, win / 4);
 
   struct Candidate {
@@ -95,13 +101,12 @@ std::vector<Proposal> propose_regions(const Tensor& image,
               return a.score > b.score;
             });
 
-  const double nms =
-      config.nms_radius * static_cast<double>(std::min(h, w));
+  const double nms = kNmsRadius * static_cast<double>(std::min(h, w));
   std::vector<Proposal> proposals;
   const float max_score =
       candidates.empty() ? 1.0f : candidates.front().score;
   for (const Candidate& cand : candidates) {
-    if (static_cast<int>(proposals.size()) >= config.max_proposals) break;
+    if (static_cast<int>(proposals.size()) >= kMaxProposals) break;
     const double cy = (cand.r + win / 2.0) / h;
     const double cx = (cand.c + win / 2.0) / w;
     bool suppressed = false;
@@ -125,7 +130,7 @@ std::vector<Proposal> propose_regions(const Tensor& image,
 }
 
 Prediction RcnnLiteDetector::detect(const Tensor& image) {
-  const auto proposals = propose_regions(image, config_);
+  const auto proposals = propose_regions(image);
   Prediction best;
   for (const Proposal& proposal : proposals) {
     // Widen the crop slightly so the scorer sees context; SPP accepts the

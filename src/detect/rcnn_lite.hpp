@@ -20,34 +20,22 @@ struct Proposal {
   float objectness = 0.0f;     // heuristic score
 };
 
-struct ProposalConfig {
-  /// Proposal window side as a fraction of the patch side.
-  double window_fraction = 0.22;
-  /// Non-maximum-suppression radius as a fraction of the patch side.
-  double nms_radius = 0.18;
-  /// Maximum proposals returned per image.
-  int max_proposals = 8;
-};
-
-/// Stage one: propose regions in a [4, H, W] patch.
-std::vector<Proposal> propose_regions(const Tensor& image,
-                                      const ProposalConfig& config);
+/// Stage one: propose up to 8 regions in a [4, H, W] patch. Windows are
+/// 0.22 of the patch side, and greedy non-maximum suppression drops a
+/// window whose center lies within 0.18 of the patch side of a kept one.
+std::vector<Proposal> propose_regions(const Tensor& image);
 
 /// Two-stage detector: proposals scored by an SPP-Net.
 class RcnnLiteDetector {
  public:
-  RcnnLiteDetector(SppNet& scorer, ProposalConfig config)
-      : scorer_(&scorer), config_(config) {}
+  explicit RcnnLiteDetector(SppNet& scorer) : scorer_(&scorer) {}
 
   /// Best detection for one [4, H, W] image: the proposal with the highest
   /// rescored confidence (confidence 0 if no proposals).
   Prediction detect(const Tensor& image);
 
-  const ProposalConfig& config() const { return config_; }
-
  private:
   SppNet* scorer_;
-  ProposalConfig config_;
 };
 
 }  // namespace dcn::detect

@@ -7,6 +7,18 @@
 #include "nn/loss.hpp"
 
 namespace dcn::detect {
+namespace {
+
+constexpr std::uint64_t kShuffleSeed = 7;
+/// Weight of the box-regression term in the multi-task loss.
+constexpr double kBoxLossWeight = 2.0;
+/// Step learning-rate decay: multiply the LR by kLrDecayFactor when
+/// training passes each fraction in kLrDecayMilestones (stabilizes the box
+/// regressor near convergence).
+constexpr double kLrDecayFactor = 0.2;
+constexpr double kLrDecayMilestones[] = {0.6, 0.85};
+
+}  // namespace
 
 EvalResult evaluate_detector(Module& model,
                              const geo::DrainageDataset& dataset,
@@ -47,15 +59,15 @@ TrainHistory train_detector(Module& model, const geo::DrainageDataset& dataset,
       << split.test.size() << ")";
 
   Sgd optimizer(model.parameters(), config.sgd);
-  Rng shuffle_rng(config.shuffle_seed);
+  Rng shuffle_rng(kShuffleSeed);
   model.set_training(true);
 
   TrainHistory history;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    // Step LR decay at the configured milestones.
-    for (double milestone : config.lr_decay_milestones) {
+    // Step LR decay at the milestones.
+    for (double milestone : kLrDecayMilestones) {
       if (epoch == static_cast<int>(milestone * config.epochs) && epoch > 0) {
-        optimizer.config().learning_rate *= config.lr_decay_factor;
+        optimizer.config().learning_rate *= kLrDecayFactor;
         if (config.verbose) {
           DCN_LOG_INFO << "epoch " << epoch << ": lr -> "
                        << optimizer.config().learning_rate;
@@ -80,8 +92,7 @@ TrainHistory train_detector(Module& model, const geo::DrainageDataset& dataset,
       optimizer.zero_grad();
       const Tensor out = model.forward(batch.images);
       const LossResult loss =
-          detection_loss(out, batch.labels, batch.boxes,
-                         config.box_loss_weight);
+          detection_loss(out, batch.labels, batch.boxes, kBoxLossWeight);
       (void)model.backward(loss.grad);
       grad_norm_sum += optimizer.grad_norm();
       optimizer.step();

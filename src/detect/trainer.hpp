@@ -1,8 +1,9 @@
 // Training and evaluation harness for detection models.
 //
 // Defaults mirror the paper's §6.1 setup: SGD with lr 0.005, weight decay
-// 0.0005, momentum 0.9, batch size 20, 80/20 train/test split, and the
-// average-precision metric of Equation 1.
+// 0.0005, momentum 0.9, batch size 20, and the average-precision metric of
+// Equation 1. Callers make the paper's 80/20 train/test split with
+// geo::DrainageDataset::split(0.8, seed).
 #pragma once
 
 #include <functional>
@@ -18,15 +19,6 @@ struct TrainConfig {
   int epochs = 12;
   std::int64_t batch_size = 20;
   SgdConfig sgd;  // paper defaults
-  double train_fraction = 0.8;
-  std::uint64_t shuffle_seed = 7;
-  /// Weight of the box-regression term in the multi-task loss.
-  double box_loss_weight = 2.0;
-  /// Step learning-rate decay: multiply the LR by `lr_decay_factor` when
-  /// training passes each fraction in `lr_decay_milestones` (stabilizes
-  /// the box regressor near convergence).
-  double lr_decay_factor = 0.2;
-  std::vector<double> lr_decay_milestones{0.6, 0.85};
   /// Log a line per epoch.
   bool verbose = true;
 };

@@ -48,9 +48,6 @@ World synthesize_world(const DatasetConfig& config, Rng& rng) {
   world.photo =
       render_orthophoto(world.dem, world.accumulation, world.streams,
                         world.road_mask, world.crossings, config.render, rng);
-  // Hillshade the embankment DEM: the terrain morphology channel on which
-  // road embankments and breached channels are visible.
-  world.hillshade = hillshade(world.dem_raw);
   return world;
 }
 
@@ -66,13 +63,10 @@ DrainageDataset DrainageDataset::synthesize(const DatasetConfig& config) {
     DCN_LOG_DEBUG << "world " << w << ": " << world.crossings.size()
                   << " crossings";
 
-    const Raster* extra =
-        config.include_dem_channel ? &world.hillshade : nullptr;
     std::vector<PatchSample> positives;
     for (const Crossing& x : world.crossings) {
       positives.push_back(make_positive(world.photo, x, config.patch_size,
-                                        config.positive_jitter, world_rng,
-                                        extra));
+                                        config.positive_jitter, world_rng));
     }
     if (config.augment_flips) {
       const std::size_t base = positives.size();
@@ -88,7 +82,7 @@ DrainageDataset DrainageDataset::synthesize(const DatasetConfig& config) {
     for (std::size_t i = 0; i < num_neg; ++i) {
       PatchSample neg;
       if (make_negative(world.photo, world.crossings, config.patch_size,
-                        config.patch_size, world_rng, neg, 64, extra)) {
+                        config.patch_size, world_rng, neg)) {
         negatives.push_back(std::move(neg));
       }
     }

@@ -38,10 +38,6 @@ struct DatasetConfig {
   double negative_ratio = 1.0;
   /// Apply horizontal/vertical flip augmentation to positives.
   bool augment_flips = true;
-  /// Append a DEM-hillshade fifth channel to every patch (the HRDEM input
-  /// the paper's companion work [Wu et al. 2023] detects crossings on;
-  /// models must then be built with in_channels = 5).
-  bool include_dem_channel = false;
   /// Cap on total samples (0 = unlimited).
   std::int64_t max_samples = 0;
 };
@@ -94,7 +90,6 @@ class DrainageDataset {
 struct World {
   Raster dem;             // culvert-breached DEM used for flow routing
   Raster dem_raw;         // DEM with road embankments, before breaching
-  Raster hillshade;       // hillshade of dem_raw (embankments visible)
   Raster accumulation;
   Raster streams;
   Raster road_mask;

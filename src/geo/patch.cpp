@@ -9,16 +9,13 @@
 namespace dcn::geo {
 
 Tensor clip_patch(const Orthophoto& photo, std::int64_t center_r,
-                  std::int64_t center_c, std::int64_t size,
-                  const Raster* extra_band) {
+                  std::int64_t center_c, std::int64_t size) {
   DCN_CHECK(size > 0) << "patch size";
-  const std::int64_t channels = extra_band != nullptr ? 5 : 4;
-  Tensor patch(Shape{channels, size, size});
+  Tensor patch(Shape{4, size, size});
   const std::int64_t r0 = center_r - size / 2;
   const std::int64_t c0 = center_c - size / 2;
-  for (std::int64_t b = 0; b < channels; ++b) {
-    const Raster& band = b < 4 ? photo.bands[static_cast<std::size_t>(b)]
-                               : *extra_band;
+  for (std::int64_t b = 0; b < 4; ++b) {
+    const Raster& band = photo.bands[static_cast<std::size_t>(b)];
     float* dst = patch.data() + b * size * size;
     for (std::int64_t r = 0; r < size; ++r) {
       for (std::int64_t c = 0; c < size; ++c) {
@@ -31,14 +28,14 @@ Tensor clip_patch(const Orthophoto& photo, std::int64_t center_r,
 
 PatchSample make_positive(const Orthophoto& photo, const Crossing& crossing,
                           std::int64_t size, std::int64_t max_jitter,
-                          Rng& rng, const Raster* extra_band) {
+                          Rng& rng) {
   const std::int64_t jr = rng.uniform_int(-max_jitter, max_jitter);
   const std::int64_t jc = rng.uniform_int(-max_jitter, max_jitter);
   const std::int64_t center_r = crossing.row + jr;
   const std::int64_t center_c = crossing.col + jc;
 
   PatchSample sample;
-  sample.image = clip_patch(photo, center_r, center_c, size, extra_band);
+  sample.image = clip_patch(photo, center_r, center_c, size);
   sample.label = 1.0f;
   // Object center in patch coordinates.
   const double ox = (crossing.col - (center_c - size / 2)) /
@@ -56,7 +53,7 @@ PatchSample make_positive(const Orthophoto& photo, const Crossing& crossing,
 bool make_negative(const Orthophoto& photo,
                    const std::vector<Crossing>& crossings, std::int64_t size,
                    std::int64_t min_distance, Rng& rng, PatchSample& out,
-                   int max_tries, const Raster* extra_band) {
+                   int max_tries) {
   const std::int64_t rows = photo.rows();
   const std::int64_t cols = photo.cols();
   for (int attempt = 0; attempt < max_tries; ++attempt) {
@@ -72,7 +69,7 @@ bool make_negative(const Orthophoto& photo,
       }
     }
     if (!clear) continue;
-    out.image = clip_patch(photo, r, c, size, extra_band);
+    out.image = clip_patch(photo, r, c, size);
     out.label = 0.0f;
     out.box = {0.0f, 0.0f, 0.0f, 0.0f};
     return true;

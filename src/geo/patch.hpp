@@ -27,19 +27,17 @@ struct PatchSample {
   std::array<float, 4> box{};        // (cx, cy, w, h) normalized; zeros if negative
 };
 
-/// Clip a [4(+1), size, size] tensor centered at (center_r, center_c);
-/// areas outside the photo are edge-clamped (patches near the boundary stay
-/// valid). When `extra_band` is non-null it is appended as a fifth channel
-/// (e.g. a DEM hillshade, as in HRDEM-based crossing detection).
+/// Clip a [4, size, size] tensor centered at (center_r, center_c); areas
+/// outside the photo are edge-clamped (patches near the boundary stay
+/// valid).
 Tensor clip_patch(const Orthophoto& photo, std::int64_t center_r,
-                  std::int64_t center_c, std::int64_t size,
-                  const Raster* extra_band = nullptr);
+                  std::int64_t center_c, std::int64_t size);
 
 /// Positive sample: patch around `crossing` with the center jittered up to
 /// `max_jitter` cells in each axis; the box tracks the true object location.
 PatchSample make_positive(const Orthophoto& photo, const Crossing& crossing,
                           std::int64_t size, std::int64_t max_jitter,
-                          Rng& rng, const Raster* extra_band = nullptr);
+                          Rng& rng);
 
 /// Negative sample: random patch whose center is at least `min_distance`
 /// cells from every crossing. Returns false if no location was found after
@@ -47,7 +45,7 @@ PatchSample make_positive(const Orthophoto& photo, const Crossing& crossing,
 bool make_negative(const Orthophoto& photo,
                    const std::vector<Crossing>& crossings, std::int64_t size,
                    std::int64_t min_distance, Rng& rng, PatchSample& out,
-                   int max_tries = 64, const Raster* extra_band = nullptr);
+                   int max_tries = 64);
 
 /// Horizontal / vertical flips for augmentation (box is remapped).
 PatchSample flip_horizontal(const PatchSample& sample);

@@ -174,34 +174,4 @@ Orthophoto render_orthophoto(const Raster& dem, const Raster& accumulation,
   return photo;
 }
 
-Raster hillshade(const Raster& dem, double azimuth_deg, double altitude_deg,
-                 double z_factor) {
-  DCN_CHECK(z_factor > 0.0) << "z_factor";
-  const double azimuth = (360.0 - azimuth_deg + 90.0) * M_PI / 180.0;
-  const double zenith = (90.0 - altitude_deg) * M_PI / 180.0;
-  Raster shade(dem.rows(), dem.cols());
-  for (std::int64_t r = 0; r < dem.rows(); ++r) {
-    for (std::int64_t c = 0; c < dem.cols(); ++c) {
-      // Horn's 3x3 finite differences (clamped at edges).
-      auto z = [&](std::int64_t dr, std::int64_t dc) {
-        return static_cast<double>(dem.at_clamped(r + dr, c + dc)) * z_factor;
-      };
-      const double dzdx = ((z(-1, 1) + 2 * z(0, 1) + z(1, 1)) -
-                           (z(-1, -1) + 2 * z(0, -1) + z(1, -1))) /
-                          8.0;
-      const double dzdy = ((z(1, -1) + 2 * z(1, 0) + z(1, 1)) -
-                           (z(-1, -1) + 2 * z(-1, 0) + z(-1, 1))) /
-                          8.0;
-      const double slope = std::atan(std::hypot(dzdx, dzdy));
-      double aspect = 0.0;
-      if (dzdx != 0.0 || dzdy != 0.0) aspect = std::atan2(dzdy, -dzdx);
-      const double illum = std::cos(zenith) * std::cos(slope) +
-                           std::sin(zenith) * std::sin(slope) *
-                               std::cos(azimuth - aspect);
-      shade.at(r, c) = clamp01(illum);
-    }
-  }
-  return shade;
-}
-
 }  // namespace dcn::geo

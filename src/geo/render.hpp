@@ -47,11 +47,4 @@ Orthophoto render_orthophoto(const Raster& dem, const Raster& accumulation,
                              const std::vector<Crossing>& crossings,
                              const RenderConfig& config, Rng& rng);
 
-/// Hillshade of a DEM (Horn's method): illumination in [0, 1] for a light
-/// source at the given azimuth/altitude (degrees; GIS defaults 315/45).
-/// This is the visualization HRDEM crossing-detection works use as a model
-/// input channel.
-Raster hillshade(const Raster& dem, double azimuth_deg = 315.0,
-                 double altitude_deg = 45.0, double z_factor = 1.0);
-
 }  // namespace dcn::geo

@@ -38,21 +38,6 @@ bool is_device_op(OpKind kind) {
   return kind != OpKind::kInput && kind != OpKind::kOutput;
 }
 
-bool is_fused_kind(OpKind kind) {
-  return kind == OpKind::kFusedConvReLU || kind == OpKind::kFusedLinearReLU;
-}
-
-OpKind fused_base_kind(OpKind kind) {
-  switch (kind) {
-    case OpKind::kFusedConvReLU:
-      return OpKind::kConv2d;
-    case OpKind::kFusedLinearReLU:
-      return OpKind::kLinear;
-    default:
-      return kind;
-  }
-}
-
 std::int64_t TensorDesc::numel() const {
   std::int64_t n = 1;
   for (auto d : dims) n *= d;

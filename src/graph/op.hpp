@@ -36,13 +36,6 @@ const char* op_kind_name(OpKind kind);
 /// not).
 bool is_device_op(OpKind kind);
 
-/// Whether `kind` is a fused compute op (base op + epilogue ReLU).
-bool is_fused_kind(OpKind kind);
-
-/// The compute op a fused kind wraps (kConv2d / kLinear); identity for
-/// unfused kinds.
-OpKind fused_base_kind(OpKind kind);
-
 /// Per-sample tensor extents (no batch dimension; batch is a runtime knob).
 struct TensorDesc {
   std::vector<std::int64_t> dims;

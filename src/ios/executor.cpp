@@ -148,7 +148,7 @@ ResilientSession::ResilientSession(const graph::Graph& graph,
                options.allow_weight_paging),
       device_(device),
       options_(options),
-      backoff_(options.retry, options.backoff_seed) {
+      backoff_(options.retry, kBackoffSeed) {
   device_.set_sync_timeout(options_.sync_timeout);
 }
 

@@ -91,6 +91,11 @@ double measure_latency(const graph::Graph& graph, const Schedule& schedule,
 
 // --- Resilient execution ---------------------------------------------------
 
+/// Seed of a resilient session's backoff jitter stream (drawn only when
+/// retry.jitter > 0). The serving backends reseed it per dispatch by mixing
+/// the dispatch salt into this seed.
+inline constexpr std::uint64_t kBackoffSeed = 0x5eed;
+
 struct ResilientOptions {
   /// Per-run retry budget for transient faults (launch failures, copy
   /// corruption, spurious allocation failures).
@@ -98,8 +103,6 @@ struct ResilientOptions {
   /// Watchdog for synchronize() waits, virtual seconds (0 disables). A
   /// hung device trips it, gets hard-reset, and the run is retried.
   double sync_timeout = 0.0;
-  /// Seed for backoff jitter (only drawn when retry.jitter > 0).
-  std::uint64_t backoff_seed = 0x5eed;
   /// Stream non-resident weights over PCIe per run instead of failing
   /// initialization when the model exceeds the device's memory budget (see
   /// InferenceSession).

@@ -1,6 +1,7 @@
 #include "ios/gantt.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
@@ -9,12 +10,17 @@
 #include "simgpu/kernels.hpp"
 
 namespace dcn::ios {
+namespace {
+
+/// Total character budget for the time axis.
+constexpr int kWidth = 100;
+constexpr std::int64_t kBatch = 1;
+
+}  // namespace
 
 std::string render_gantt(const graph::Graph& graph,
                          const simgpu::DeviceSpec& spec,
-                         const Schedule& schedule,
-                         const GanttOptions& options) {
-  DCN_CHECK(options.width >= 20) << "gantt width too small";
+                         const Schedule& schedule) {
   validate_schedule(graph, schedule);
   const auto kernels = simgpu::make_kernel_table(graph);
   const std::size_t rows = std::max<std::size_t>(1, schedule.max_concurrency());
@@ -37,7 +43,7 @@ std::string render_gantt(const graph::Graph& graph,
       double group_time = 0.0;
       for (graph::OpId id : stage.groups[g].ops) {
         const auto cost = simgpu::kernel_cost(
-            spec, kernels[static_cast<std::size_t>(id)], options.batch);
+            spec, kernels[static_cast<std::size_t>(id)], kBatch);
         layout.rows[g].push_back(
             {graph.node(id).name, cost.solo_seconds});
         group_time += cost.solo_seconds;
@@ -50,11 +56,10 @@ std::string render_gantt(const graph::Graph& graph,
   DCN_CHECK(total > 0.0) << "schedule has zero modeled duration";
 
   // Scale: characters per second.
-  const double scale = (options.width - static_cast<int>(stages.size())) /
-                       total;
+  const double scale = (kWidth - static_cast<int>(stages.size())) / total;
   std::ostringstream os;
   os << "time -> (" << total * 1e6 << " us modeled kernel time, batch "
-     << options.batch << ")\n";
+     << kBatch << ")\n";
   for (std::size_t row = 0; row < rows; ++row) {
     os << "stream " << row << " ";
     for (const StageLayout& stage : stages) {

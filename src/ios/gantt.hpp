@@ -6,7 +6,6 @@
 // properties (row count = max concurrency, total width tracks latency).
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "ios/schedule.hpp"
@@ -14,18 +13,11 @@
 
 namespace dcn::ios {
 
-struct GanttOptions {
-  /// Total character budget for the time axis.
-  int width = 100;
-  std::int64_t batch = 1;
-};
-
-/// Render `schedule` as an ASCII timeline. Each stream row shows kernels as
-/// [name---] blocks scaled to modeled solo durations; stage boundaries are
-/// marked with '|'.
+/// Render `schedule` at batch 1 as an ASCII timeline about 100 characters
+/// wide. Each stream row shows kernels as [name---] blocks scaled to
+/// modeled solo durations; stage boundaries are marked with '|'.
 std::string render_gantt(const graph::Graph& graph,
                          const simgpu::DeviceSpec& spec,
-                         const Schedule& schedule,
-                         const GanttOptions& options = {});
+                         const Schedule& schedule);
 
 }  // namespace dcn::ios

@@ -9,6 +9,14 @@
 #include "simgpu/kernels.hpp"
 
 namespace dcn::ios {
+namespace {
+
+/// Effective GPU<->GPU interconnect bandwidth (bytes/s; NVLink-class).
+constexpr double kInterconnectBandwidth = 112e9;
+/// Fixed latency per collective / peer transfer (seconds).
+constexpr double kTransferLatency = 10e-6;
+
+}  // namespace
 
 double data_parallel_latency(const graph::Graph& graph,
                              const Schedule& schedule,
@@ -40,15 +48,15 @@ double data_parallel_latency(const graph::Graph& graph,
   const double remote_shards = static_cast<double>(config.num_gpus - 1);
   const double scatter =
       remote_shards > 0
-          ? config.transfer_latency +
+          ? kTransferLatency +
                 remote_shards * static_cast<double>(shard) * input_bytes /
-                    config.interconnect_bandwidth
+                    kInterconnectBandwidth
           : 0.0;
   const double gather =
       remote_shards > 0
-          ? config.transfer_latency +
+          ? kTransferLatency +
                 remote_shards * static_cast<double>(shard) * output_bytes /
-                    config.interconnect_bandwidth
+                    kInterconnectBandwidth
           : 0.0;
   return scatter + replica + gather;
 }
@@ -103,8 +111,8 @@ double branch_parallel_latency(const graph::Graph& graph,
             4.0 * static_cast<double>(graph.node(tail).output.numel()) *
             static_cast<double>(batch);
         transfer[static_cast<std::size_t>(gpu)] +=
-            2.0 * config.transfer_latency +
-            (in_bytes + out_bytes) / config.interconnect_bandwidth;
+            2.0 * kTransferLatency +
+            (in_bytes + out_bytes) / kInterconnectBandwidth;
       }
       per_gpu[static_cast<std::size_t>(gpu)].push_back(std::move(ks));
     }

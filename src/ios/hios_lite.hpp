@@ -22,12 +22,10 @@
 
 namespace dcn::ios {
 
+/// GPUs are linked by an NVLink-class interconnect: 112 GB/s effective,
+/// 10 us fixed latency per collective or peer transfer.
 struct MultiGpuConfig {
   int num_gpus = 2;
-  /// Effective GPU<->GPU interconnect bandwidth (bytes/s; NVLink-class).
-  double interconnect_bandwidth = 112e9;
-  /// Fixed latency per collective / peer transfer (seconds).
-  double transfer_latency = 10e-6;
 };
 
 /// Latency of one batch sharded across `config.num_gpus` replicas, each

@@ -20,9 +20,16 @@ using Mask = std::uint32_t;
 /// graph for the brute-force oracle).
 class SetScheduler {
  public:
+  /// `max_stage_ops` is the pruning width (kMaxStageOps, or the set size
+  /// for the unpruned brute-force oracle).
   SetScheduler(const graph::Graph& graph, const simgpu::DeviceSpec& spec,
-               std::vector<OpId> ops, const IosOptions& options)
-      : graph_(graph), spec_(spec), ops_(std::move(ops)), options_(options) {
+               std::vector<OpId> ops, const IosOptions& options,
+               int max_stage_ops)
+      : graph_(graph),
+        spec_(spec),
+        ops_(std::move(ops)),
+        options_(options),
+        max_stage_ops_(max_stage_ops) {
     static_assert(kMaxDpOps < 32, "full-set mask must fit without overflow");
     DCN_CHECK(ops_.size() <= static_cast<std::size_t>(kMaxDpOps))
         << "operator set too large for bitmask DP";
@@ -135,7 +142,7 @@ class SetScheduler {
     // stage candidate.
     for (Mask e = remaining;; e = (e - 1) & remaining) {
       if (e == 0) break;
-      if (std::popcount(e) <= options_.max_stage_ops) {
+      if (std::popcount(e) <= max_stage_ops_) {
         bool ready = true;
         for (Mask m = e; m;) {
           const int i = std::countr_zero(m);
@@ -164,6 +171,7 @@ class SetScheduler {
   const simgpu::DeviceSpec& spec_;
   std::vector<OpId> ops_;
   IosOptions options_;
+  int max_stage_ops_;
   std::vector<Mask> preds_;
   std::vector<Mask> succs_;
   std::vector<simgpu::KernelDesc> kernels_;
@@ -212,15 +220,11 @@ Schedule optimize_schedule(const graph::Graph& graph,
       schedule.stages.push_back(std::move(stage));
       continue;
     }
-    // The DP's bitmask cannot represent sets beyond kMaxDpOps, so a raised
-    // max_block_ops must not route an oversized block into it (the old code
-    // crashed on DCN_CHECK here instead of degrading to the heuristic).
-    const int dp_limit = std::min(options.max_block_ops, kMaxDpOps);
-    if (static_cast<int>(ops.size()) > dp_limit) {
+    if (static_cast<int>(ops.size()) > kMaxDpOps) {
       schedule.stages.push_back(branch_heuristic_stage(graph, block));
       continue;
     }
-    SetScheduler dp(graph, spec, ops, options);
+    SetScheduler dp(graph, spec, ops, options, kMaxStageOps);
     dp.solve(schedule.stages);
   }
   validate_schedule(graph, schedule);
@@ -258,8 +262,7 @@ double brute_force_best_cost(const graph::Graph& graph,
   DCN_CHECK(ops.size() <= 14) << "graph too large for brute force";
   IosOptions options;
   options.batch = batch;
-  options.max_stage_ops = static_cast<int>(ops.size());
-  SetScheduler dp(graph, spec, ops, options);
+  SetScheduler dp(graph, spec, ops, options, static_cast<int>(ops.size()));
   std::vector<Stage> stages;
   return dp.solve(stages);
 }

@@ -5,8 +5,9 @@
 // parallel chain groups, minimizing the modeled latency
 // sum(stage_seconds + inter_stage_gap). States are down-closed "done" sets
 // (bitmask over block-local indices); transitions enumerate every valid
-// next stage. This is the exact IOS formulation; the pruning width bounds
-// the number of operators per stage like IOS's pruning parameter r.
+// next stage. This is the exact IOS formulation; the pruning width
+// kMaxStageOps bounds the number of operators per stage like IOS's pruning
+// parameter r.
 //
 // Linear segments are merged into one single-group stage (provably optimal
 // under the cost model: merging removes inter-stage gaps and changes
@@ -21,19 +22,15 @@
 
 namespace dcn::ios {
 
-/// Hard ceiling on the bitmask DP's operator-set size. The mask is 32 bits
-/// wide; capping two below keeps every `Mask{1} << n` shift defined and
-/// leaves headroom for the full-set sentinel. Blocks above
-/// min(IosOptions::max_block_ops, kMaxDpOps) take the branch heuristic.
-inline constexpr int kMaxDpOps = 30;
+/// Largest branched block (in device ops) the exponential DP solves. Larger
+/// blocks, which a user's SPP_{...} notation can build, take the
+/// one-group-per-branch heuristic. Well below the 32-bit DP mask's width,
+/// so every `Mask{1} << n` shift is defined.
+inline constexpr int kMaxDpOps = 16;
+/// Pruning width: maximum operators in one DP stage (IOS's r).
+inline constexpr int kMaxStageOps = 12;
 
 struct IosOptions {
-  /// Blocks larger than this fall back to the one-group-per-branch
-  /// heuristic instead of the exponential DP. Values above kMaxDpOps are
-  /// clamped to it: the bitmask DP cannot represent larger sets.
-  int max_block_ops = 16;
-  /// Pruning width: maximum operators in one stage (IOS's r).
-  int max_stage_ops = 12;
   /// Batch size the schedule is optimized for (IOS specializes schedules
   /// per batch size, as does the paper's Figure 6 sweep).
   std::int64_t batch = 1;

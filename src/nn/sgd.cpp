@@ -34,11 +34,6 @@ double Sgd::grad_norm() const {
 }
 
 void Sgd::step() {
-  double scale = 1.0;
-  if (config_.clip_norm > 0.0) {
-    const double gn = grad_norm();
-    if (gn > config_.clip_norm) scale = config_.clip_norm / gn;
-  }
   const float lr = static_cast<float>(config_.learning_rate);
   const float mu = static_cast<float>(config_.momentum);
   const float wd = static_cast<float>(config_.weight_decay);
@@ -48,7 +43,7 @@ void Sgd::step() {
     Tensor& v = velocity_[k];
     const std::int64_t n = p.numel();
     for (std::int64_t i = 0; i < n; ++i) {
-      const float grad = static_cast<float>(scale) * g[i] + wd * p[i];
+      const float grad = g[i] + wd * p[i];
       v[i] = mu * v[i] + grad;
       p[i] -= lr * v[i];
     }

@@ -14,8 +14,6 @@ struct SgdConfig {
   double learning_rate = 0.005;
   double momentum = 0.9;
   double weight_decay = 0.0005;
-  /// Optional gradient-norm clipping; <= 0 disables.
-  double clip_norm = 0.0;
 };
 
 /// PyTorch-convention SGD: v = mu*v + (g + wd*p); p -= lr * v.
@@ -29,7 +27,7 @@ class Sgd {
   /// Zero all parameter gradients.
   void zero_grad();
 
-  /// Global L2 norm of all gradients (diagnostic; also used by clipping).
+  /// Global L2 norm of all gradients (diagnostic).
   double grad_norm() const;
 
   SgdConfig& config() { return config_; }

@@ -12,6 +12,15 @@
 namespace dcn::scan {
 namespace {
 
+/// Full-model confidence at or above which a survivor emits a detection.
+constexpr double kDetectThreshold = 0.5;
+/// World-space dedup radius (meters): of two confirmed detections within
+/// it, only the higher-confidence one survives.
+constexpr double kDedupRadius = 24.0;
+/// Pixel distance within which a detection matches a ground-truth crossing
+/// (recall bookkeeping only; AP uses box IoU).
+constexpr double kMatchRadius = 16.0;
+
 // Ground truth of one tile: the crossing whose center falls inside it,
 // nearest to the tile center (ties -> lowest crossing index, a total
 // deterministic order). The box uses the training-patch convention
@@ -158,8 +167,7 @@ ScanResult scan_watershed(const geo::Orthophoto& photo,
   std::vector<ScanDetection> raw;
   for (const TileScore& score : result.scores) {
     if (!score.survived || !score.full_evaluated) continue;
-    if (static_cast<double>(score.full_confidence) <
-        options.detect_threshold) {
+    if (static_cast<double>(score.full_confidence) < kDetectThreshold) {
       continue;
     }
     ScanDetection detection;
@@ -172,15 +180,14 @@ ScanResult scan_watershed(const geo::Orthophoto& photo,
     detection.world_y = wy;
     const auto [pr, pc] = transform.world_to_pixel(wx, wy);
     for (const geo::Crossing& crossing : crossings) {
-      if (std::hypot(crossing.row - pr, crossing.col - pc) <=
-          options.match_radius) {
+      if (std::hypot(crossing.row - pr, crossing.col - pc) <= kMatchRadius) {
         detection.matched = true;
         break;
       }
     }
     raw.push_back(detection);
   }
-  result.detections = dedupe_detections(std::move(raw), options.dedup_radius);
+  result.detections = dedupe_detections(std::move(raw), kDedupRadius);
 
   if (result.tiles > 0) {
     result.negative_fraction =

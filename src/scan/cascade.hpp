@@ -47,17 +47,9 @@ struct CascadeOptions {
   /// Stage-1 gate: tiles whose screener confidence falls below this never
   /// reach the full model. Calibrated, not hand-picked (calibrate.hpp).
   double threshold = 0.5;
-  /// Full-model confidence above which a survivor emits a detection.
-  double detect_threshold = 0.5;
   /// Inference minibatch for both stages (results are batch-invariant;
   /// this is purely a working-set knob).
   std::int64_t batch_size = 32;
-  /// World-space dedup radius (meters): of two confirmed detections
-  /// within it, only the higher-confidence one survives.
-  double dedup_radius = 24.0;
-  /// Pixel distance within which a detection matches a ground-truth
-  /// crossing (recall bookkeeping only; AP uses box IoU).
-  double match_radius = 16.0;
   /// Run the full model on *every* tile, not just survivors. Calibration
   /// and AP-reference mode: per-tile full-model scores for any threshold,
   /// plus the full-model AP the constraint is measured against.
@@ -91,7 +83,7 @@ struct ScanDetection {
   double world_x = 0.0;
   double world_y = 0.0;
   float confidence = 0.0f;
-  /// Within match_radius of a ground-truth crossing.
+  /// Within the match radius (16 px) of a ground-truth crossing.
   bool matched = false;
 };
 

@@ -11,6 +11,17 @@
 #include "detect/sppnet.hpp"
 
 namespace dcn::scan {
+namespace {
+
+/// Accuracy floor a(n) for select_constrained_precision. Deliberately
+/// permissive: the screener only needs to *rank* tiles (the calibrator
+/// enforces the cascade's real constraint), so the floor merely rules out
+/// degenerate candidates.
+constexpr double kApFloor = 0.15;
+/// Training images that calibrate each int8 candidate.
+constexpr std::int64_t kCalibrationImages = 8;
+
+}  // namespace
 
 std::vector<nas::SearchPoint> ScreenerSpace::enumerate() const {
   std::vector<nas::SearchPoint> points;
@@ -103,9 +114,6 @@ ScreenerSelection select_screener(const geo::DrainageDataset& dataset,
       points.size());
   const nas::QuantizeEvaluator evaluator =
       [&](const nas::Trial& trial) -> nas::TrialMetrics {
-    if (!config.int8) {
-      throw ConfigError("screener int8 expansion disabled");
-    }
     nas::RunnerConfig int8_runner = config.runner;
     int8_runner.precision = simgpu::Precision::kInt8;
     int8_runner.verbose = false;
@@ -116,7 +124,7 @@ ScreenerSelection select_screener(const geo::DrainageDataset& dataset,
     std::vector<std::size_t> picks;
     for (const std::int64_t i : detect::calibration_split(
              static_cast<std::int64_t>(split.train.size()),
-             config.calibration_images, config.seed)) {
+             kCalibrationImages, config.seed)) {
       picks.push_back(split.train[static_cast<std::size_t>(i)]);
     }
     auto& model = *models[static_cast<std::size_t>(trial.index)];
@@ -130,14 +138,14 @@ ScreenerSelection select_screener(const geo::DrainageDataset& dataset,
   selection.candidates =
       nas::expand_precisions(selection.database, evaluator);
 
-  auto chosen = nas::select_constrained_precision(selection.candidates,
-                                                  config.ap_floor);
+  auto chosen =
+      nas::select_constrained_precision(selection.candidates, kApFloor);
   if (!chosen) {
     // No candidate clears the floor: fall back to the most accurate one
     // so callers still get a working screener (the calibrator will then
     // keep the threshold low — correct, just slower).
-    DCN_LOG_WARN << "no screener candidate clears AP floor "
-                 << config.ap_floor << "; falling back to best AP";
+    DCN_LOG_WARN << "no screener candidate clears AP floor " << kApFloor
+                 << "; falling back to best AP";
     for (const nas::PrecisionCandidate& candidate : selection.candidates) {
       if (!chosen || candidate.metrics.average_precision >
                          chosen->metrics.average_precision) {

@@ -54,18 +54,10 @@ struct ScreenerSearchConfig {
   /// Efficiency-profiling setup (device, input size = tile size, latency
   /// batch = the screener's serving batch).
   nas::RunnerConfig runner;
-  /// Accuracy floor a(n) for select_constrained_precision. Deliberately
-  /// permissive: the screener only needs to *rank* tiles (the calibrator
-  /// enforces the cascade's real constraint), so the floor merely rules
-  /// out degenerate candidates.
-  double ap_floor = 0.15;
-  /// Expand trials into int8 candidates (the cascade's default).
-  bool int8 = true;
   /// Short-budget proxy training (multi-fidelity spirit: a few epochs
   /// rank tiny models reliably).
   detect::TrainConfig train;
   std::uint64_t seed = 2024;
-  std::int64_t calibration_images = 8;
 };
 
 struct ScreenerSelection {
@@ -79,11 +71,13 @@ struct ScreenerSelection {
   std::unique_ptr<Module> model;
 };
 
-/// Run the mini campaign over `config.space` and return the constrained
-/// selection. Deterministic in (dataset, split, config): per-trial weight
-/// seeds derive from config.seed + trial index, and the campaign is a
-/// fixed-order grid. When no candidate clears the floor, falls back to
-/// the highest-AP candidate so callers always get a usable screener.
+/// Run the mini campaign over `config.space`, expand every trial into fp32
+/// and int8 candidates, and return the constrained selection: the fastest
+/// candidate whose AP clears the screener floor (0.15). Deterministic in
+/// (dataset, split, config): per-trial weight seeds derive from
+/// config.seed + trial index, and the campaign is a fixed-order grid. When
+/// no candidate clears the floor, falls back to the highest-AP candidate
+/// so callers always get a usable screener.
 ScreenerSelection select_screener(const geo::DrainageDataset& dataset,
                                   const geo::Split& split,
                                   const ScreenerSearchConfig& config);

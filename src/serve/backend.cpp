@@ -34,9 +34,8 @@ void WholeModelBackend::arm_faults(const simgpu::FaultPlan& base,
   device_->set_fault_plan(plan);
 }
 
-void WholeModelBackend::reseed_backoff(std::uint64_t backoff_seed,
-                                       std::uint64_t salt) {
-  session_->reseed_backoff(mix_seed(backoff_seed, salt));
+void WholeModelBackend::reseed_backoff(std::uint64_t salt) {
+  session_->reseed_backoff(mix_seed(ios::kBackoffSeed, salt));
 }
 
 BackendOutcome WholeModelBackend::serve_batch(double start,

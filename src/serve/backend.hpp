@@ -66,8 +66,7 @@ class Backend {
 
   /// Re-anchor retry-backoff jitter for the coming dispatch (same salt
   /// discipline as arm_faults).
-  virtual void reseed_backoff(std::uint64_t backoff_seed,
-                              std::uint64_t salt) = 0;
+  virtual void reseed_backoff(std::uint64_t salt) = 0;
 
   /// Serve one batch starting at `start` (>= any prior end). Advances the
   /// owned device clocks; recovery (retries, resets, backoff) is resolved
@@ -98,8 +97,7 @@ class WholeModelBackend : public Backend {
   simgpu::Precision precision() const override { return precision_; }
   int device_count() const override { return 1; }
   void arm_faults(const simgpu::FaultPlan& base, std::uint64_t salt) override;
-  void reseed_backoff(std::uint64_t backoff_seed,
-                      std::uint64_t salt) override;
+  void reseed_backoff(std::uint64_t salt) override;
   BackendOutcome serve_batch(double start, std::int64_t batch) override;
   double restart(double now) override;
   ios::SessionStats stats() const override { return session_->stats(); }

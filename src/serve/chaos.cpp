@@ -1,6 +1,8 @@
 #include "serve/chaos.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/error.hpp"
@@ -21,13 +23,27 @@ double parse_number(const std::string& key, const std::string& value) {
   }
 }
 
+// Counts and replica indices must be whole numbers that fit an int and are
+// not negative; casting a fraction would silently change the campaign.
+int parse_count(const std::string& key, const std::string& value) {
+  const double parsed = parse_number(key, value);
+  if (!(parsed >= 0.0 &&
+        parsed <= static_cast<double>(std::numeric_limits<int>::max())) ||
+      parsed != std::floor(parsed)) {
+    throw ConfigError("chaos key '" + key +
+                      "' needs a whole number >= 0 that fits an int, got '" +
+                      value + "'");
+  }
+  return static_cast<int>(parsed);
+}
+
 std::vector<int> parse_victims(const std::string& value) {
   std::vector<int> victims;
   std::istringstream stream(value);
   std::string token;
   while (std::getline(stream, token, '+')) {
     if (token.empty()) continue;
-    victims.push_back(static_cast<int>(parse_number("victims", token)));
+    victims.push_back(parse_count("victims", token));
   }
   if (victims.empty()) {
     throw ConfigError("chaos victims list '" + value + "' is empty");
@@ -108,14 +124,14 @@ ChaosConfig ChaosConfig::parse(const std::string& spec, std::uint64_t seed) {
         } else if (key == "victims") {
           storm.victims = wave.victims = parse_victims(value);
         } else if (is_crash && key == "kills") {
-          storm.kills = static_cast<int>(parse_number(key, value));
+          storm.kills = parse_count(key, value);
         } else if (is_crash && key == "perm") {
           storm.permanent = parse_number(key, value) != 0.0;
         } else if (is_straggle && key == "dur") {
           wave.duration = parse_number(key, value);
           has_dur = true;
         } else if (is_straggle && key == "count") {
-          wave.count = static_cast<int>(parse_number(key, value));
+          wave.count = parse_count(key, value);
         } else if (is_straggle && key == "factor") {
           wave.factor = parse_number(key, value);
         } else {

@@ -55,6 +55,7 @@ struct ChaosConfig {
   /// Parse a CLI spec: semicolon-separated campaigns of the form
   ///   crash:at=<t>[,kills=<n>][,perm=<0|1>][,victims=<i+j+...>]
   ///   straggle:at=<t>,dur=<t>[,count=<n>][,factor=<f>][,victims=<i+j+...>]
+  /// where kills, count and victims are whole numbers >= 0.
   /// Example: "crash:at=2,kills=2;straggle:at=4,dur=2,count=3,factor=6"
   /// Throws ConfigError on malformed specs.
   static ChaosConfig parse(const std::string& spec, std::uint64_t seed = 0);

@@ -4,9 +4,40 @@
 #include <limits>
 
 #include "core/error.hpp"
-#include "core/rng.hpp"
 
 namespace dcn::serve {
+namespace {
+
+// Circuit breaker.
+/// Consecutive failures that trip the breaker open.
+constexpr int kFailureThreshold = 3;
+/// Cool-down before an open breaker half-opens (virtual seconds).
+constexpr double kOpenSeconds = 0.050;
+/// Consecutive half-open successes required to close again.
+constexpr int kHalfOpenSuccesses = 2;
+
+// Health monitor.
+/// EWMA smoothing for per-replica service latency.
+constexpr double kEwmaAlpha = 0.3;
+/// A replica is suspect when its EWMA exceeds this many times the fleet's
+/// fastest EWMA (straggler detection).
+constexpr double kSuspectFactor = 3.0;
+/// Samples a replica needs before it can be suspected or be the baseline.
+constexpr int kMinSamples = 3;
+/// How often a suspect replica is probed with real traffic so its EWMA can
+/// decay back (virtual seconds).
+constexpr double kProbeInterval = 0.050;
+/// Respawn budget per replica; once spent the replica is permanently lost.
+constexpr int kMaxRestarts = 3;
+/// Backoff between respawn attempts: 5, 10, 20 ms, ... capped at 100 ms.
+/// Jitter-free, so the delays draw no random numbers.
+constexpr RetryPolicy kRespawnBackoff{.max_attempts = 1,
+                                      .base_backoff = 5.0e-3,
+                                      .multiplier = 2.0,
+                                      .max_backoff = 0.1,
+                                      .jitter = 0.0};
+
+}  // namespace
 
 const char* breaker_state_name(BreakerState state) {
   switch (state) {
@@ -20,33 +51,17 @@ const char* breaker_state_name(BreakerState state) {
   return "unknown";
 }
 
-CircuitBreaker::CircuitBreaker(BreakerPolicy policy) : policy_(policy) {
-  if (policy.failure_threshold < 1) {
-    throw ConfigError("CircuitBreaker: failure_threshold must be >= 1, got " +
-                      std::to_string(policy.failure_threshold));
-  }
-  if (policy.open_seconds < 0.0) {
-    throw ConfigError("CircuitBreaker: open_seconds must be >= 0, got " +
-                      std::to_string(policy.open_seconds));
-  }
-  if (policy.half_open_successes < 1) {
-    throw ConfigError(
-        "CircuitBreaker: half_open_successes must be >= 1, got " +
-        std::to_string(policy.half_open_successes));
-  }
-}
-
 BreakerState CircuitBreaker::state(double now) const {
   if (stored_ == BreakerState::kClosed) return BreakerState::kClosed;
   // Half-open is derived, not stored: an open breaker past its cool-down
   // admits trial traffic without needing a timer event.
-  return now >= opened_at_ + policy_.open_seconds ? BreakerState::kHalfOpen
-                                                  : BreakerState::kOpen;
+  return now >= opened_at_ + kOpenSeconds ? BreakerState::kHalfOpen
+                                          : BreakerState::kOpen;
 }
 
 double CircuitBreaker::allows_at(double now) const {
   if (allows(now)) return now;
-  return opened_at_ + policy_.open_seconds;
+  return opened_at_ + kOpenSeconds;
 }
 
 void CircuitBreaker::record_success(double now) {
@@ -55,7 +70,7 @@ void CircuitBreaker::record_success(double now) {
       consecutive_failures_ = 0;
       break;
     case BreakerState::kHalfOpen:
-      if (++half_open_successes_ >= policy_.half_open_successes) {
+      if (++half_open_successes_ >= kHalfOpenSuccesses) {
         stored_ = BreakerState::kClosed;
         consecutive_failures_ = 0;
         half_open_successes_ = 0;
@@ -71,7 +86,7 @@ void CircuitBreaker::record_success(double now) {
 void CircuitBreaker::record_failure(double now) {
   switch (state(now)) {
     case BreakerState::kClosed:
-      if (++consecutive_failures_ >= policy_.failure_threshold) {
+      if (++consecutive_failures_ >= kFailureThreshold) {
         stored_ = BreakerState::kOpen;
         opened_at_ = now;
         half_open_successes_ = 0;
@@ -102,41 +117,12 @@ const char* replica_state_name(ReplicaState state) {
   return "unknown";
 }
 
-HealthMonitor::HealthMonitor(int replicas, HealthPolicy policy)
-    : policy_(policy) {
+HealthMonitor::HealthMonitor(int replicas) : respawn_(kRespawnBackoff) {
   if (replicas < 1) {
     throw ConfigError("HealthMonitor: replicas must be >= 1, got " +
                       std::to_string(replicas));
   }
-  if (policy.ewma_alpha <= 0.0 || policy.ewma_alpha > 1.0) {
-    throw ConfigError("HealthMonitor: ewma_alpha must be in (0, 1], got " +
-                      std::to_string(policy.ewma_alpha));
-  }
-  if (policy.suspect_factor < 1.0) {
-    throw ConfigError("HealthMonitor: suspect_factor must be >= 1, got " +
-                      std::to_string(policy.suspect_factor));
-  }
-  if (policy.min_samples < 1) {
-    throw ConfigError("HealthMonitor: min_samples must be >= 1, got " +
-                      std::to_string(policy.min_samples));
-  }
-  if (policy.probe_interval <= 0.0) {
-    throw ConfigError("HealthMonitor: probe_interval must be > 0, got " +
-                      std::to_string(policy.probe_interval));
-  }
-  if (policy.max_restarts < 0) {
-    throw ConfigError("HealthMonitor: max_restarts must be >= 0, got " +
-                      std::to_string(policy.max_restarts));
-  }
-  if (policy.failure_detection < 0.0) {
-    throw ConfigError("HealthMonitor: failure_detection must be >= 0, got " +
-                      std::to_string(policy.failure_detection));
-  }
-  entries_.reserve(static_cast<std::size_t>(replicas));
-  for (int r = 0; r < replicas; ++r) {
-    entries_.emplace_back(
-        policy_, mix_seed(policy_.respawn_seed, static_cast<std::uint64_t>(r)));
-  }
+  entries_.resize(static_cast<std::size_t>(replicas));
 }
 
 HealthMonitor::Entry& HealthMonitor::entry(int replica) {
@@ -206,19 +192,19 @@ void HealthMonitor::transition(int replica, double now, ReplicaState to,
 void HealthMonitor::reevaluate_suspicion(int replica, double now) {
   Entry& e = entry(replica);
   if (e.state == ReplicaState::kDead) return;
-  if (e.samples < policy_.min_samples) return;
+  if (e.samples < kMinSamples) return;
   // Fleet baseline: the fastest sufficiently-sampled live replica. With
   // fewer than two sampled replicas there is nothing to compare against.
   double min_ewma = std::numeric_limits<double>::infinity();
   int sampled = 0;
   for (const Entry& other : entries_) {
     if (other.state == ReplicaState::kDead) continue;
-    if (other.samples < policy_.min_samples) continue;
+    if (other.samples < kMinSamples) continue;
     ++sampled;
     min_ewma = std::min(min_ewma, other.ewma);
   }
   if (sampled < 2 || min_ewma <= 0.0) return;
-  const bool slow = e.ewma > policy_.suspect_factor * min_ewma;
+  const bool slow = e.ewma > kSuspectFactor * min_ewma;
   if (slow && e.state == ReplicaState::kHealthy) {
     transition(replica, now, ReplicaState::kSuspect,
                "latency ewma exceeds fleet baseline");
@@ -231,9 +217,9 @@ void HealthMonitor::reevaluate_suspicion(int replica, double now) {
 void HealthMonitor::observe_success(int replica, double now,
                                     double service_seconds) {
   Entry& e = entry(replica);
-  e.ewma = e.samples == 0 ? service_seconds
-                          : policy_.ewma_alpha * service_seconds +
-                                (1.0 - policy_.ewma_alpha) * e.ewma;
+  e.ewma = e.samples == 0
+               ? service_seconds
+               : kEwmaAlpha * service_seconds + (1.0 - kEwmaAlpha) * e.ewma;
   ++e.samples;
   e.breaker.record_success(now);
   reevaluate_suspicion(replica, now);
@@ -249,15 +235,15 @@ void HealthMonitor::mark_dead(int replica, double now,
 }
 
 bool HealthMonitor::can_respawn(int replica) const {
-  return entry(replica).restarts_used < policy_.max_restarts;
+  return entry(replica).restarts_used < kMaxRestarts;
 }
 
 double HealthMonitor::next_respawn_delay(int replica) {
   Entry& e = entry(replica);
-  DCN_CHECK(e.restarts_used < policy_.max_restarts)
+  DCN_CHECK(e.restarts_used < kMaxRestarts)
       << "respawn budget spent for replica " << replica;
   ++e.restarts_used;
-  return e.respawn.delay(e.restarts_used);
+  return respawn_.delay(e.restarts_used);
 }
 
 int HealthMonitor::restarts_used(int replica) const {
@@ -271,7 +257,7 @@ void HealthMonitor::mark_respawned(int replica, double now) {
   // total respawn work a flapping replica can consume.
   e.ewma = 0.0;
   e.samples = 0;
-  e.breaker = CircuitBreaker(policy_.breaker);
+  e.breaker = CircuitBreaker();
   e.last_probe = -1.0e300;
   transition(replica, now, ReplicaState::kHealthy, "respawned");
 }
@@ -297,7 +283,7 @@ void HealthMonitor::mark_lost(int replica, double now,
 bool HealthMonitor::probe_due(int replica, double now) const {
   const Entry& e = entry(replica);
   return e.state == ReplicaState::kSuspect &&
-         now - e.last_probe >= policy_.probe_interval;
+         now - e.last_probe >= kProbeInterval;
 }
 
 void HealthMonitor::note_probe(int replica, double now) {

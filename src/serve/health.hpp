@@ -9,8 +9,8 @@
 //     from a latency EWMA compared against the fleet's fastest replica
 //     (min-EWMA baseline), the classic straggler detector; death comes from
 //     crash faults the server reports. Dead replicas respawn under a
-//     bounded-restart budget with seeded exponential backoff, so a
-//     permanently faulted replica is given up on deterministically.
+//     bounded-restart budget with exponential backoff, so a permanently
+//     faulted replica is given up on deterministically.
 //   - CircuitBreaker: closed / open / half-open per replica, driven by
 //     consecutive service failures. Open breakers divert dispatch away
 //     from a replica that keeps failing; after a cool-down the breaker
@@ -36,22 +36,13 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 const char* breaker_state_name(BreakerState state);
 
-struct BreakerPolicy {
-  /// Consecutive failures that trip the breaker open.
-  int failure_threshold = 3;
-  /// Cool-down before an open breaker half-opens (virtual seconds).
-  double open_seconds = 0.050;
-  /// Consecutive half-open successes required to close again.
-  int half_open_successes = 2;
-};
-
-/// Per-replica circuit breaker. State is stored as closed/open plus the
-/// open instant; half-open is *derived* from the clock (open and past the
+/// Per-replica circuit breaker. Three consecutive failures trip it open;
+/// after a 50 ms cool-down it half-opens, and two consecutive half-open
+/// successes close it again. State is stored as closed/open plus the open
+/// instant; half-open is *derived* from the clock (open and past the
 /// cool-down), so no timer event is needed to transition.
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(BreakerPolicy policy = {});
-
   /// State at virtual time `now`.
   BreakerState state(double now) const;
   /// Whether dispatch may use the replica at `now` (closed or half-open).
@@ -65,10 +56,8 @@ class CircuitBreaker {
 
   /// Times the breaker tripped open (re-opens from half-open included).
   int opens() const { return opens_; }
-  const BreakerPolicy& policy() const { return policy_; }
 
  private:
-  BreakerPolicy policy_;
   BreakerState stored_ = BreakerState::kClosed;
   double opened_at_ = 0.0;
   int consecutive_failures_ = 0;
@@ -82,36 +71,6 @@ enum class ReplicaState { kHealthy, kSuspect, kDead };
 
 const char* replica_state_name(ReplicaState state);
 
-struct HealthPolicy {
-  /// EWMA smoothing for per-replica service latency (0 < alpha <= 1).
-  double ewma_alpha = 0.3;
-  /// A replica is suspect when its EWMA exceeds `suspect_factor` times the
-  /// fleet's fastest EWMA (straggler detection; needs >= 2 sampled
-  /// replicas).
-  double suspect_factor = 3.0;
-  /// Samples a replica needs before it can be suspected.
-  int min_samples = 3;
-  /// How often a suspect replica is probed with real traffic so its EWMA
-  /// can decay back (virtual seconds).
-  double probe_interval = 0.050;
-  /// Bounded respawn budget per replica; once spent the replica is
-  /// permanently lost.
-  int max_restarts = 3;
-  /// Backoff between respawn attempts (jitter drawn from a stream seeded
-  /// per replica with mix_seed(respawn_seed, replica)).
-  RetryPolicy respawn_backoff{.max_attempts = 1,
-                              .base_backoff = 5.0e-3,
-                              .multiplier = 2.0,
-                              .max_backoff = 0.1,
-                              .jitter = 0.0};
-  std::uint64_t respawn_seed = 0x5eed;
-  /// Delay between a replica crash and the server acting on it (failure
-  /// detection + re-dispatch latency, virtual seconds).
-  double failure_detection = 1.0e-3;
-  /// Per-replica circuit-breaker policy.
-  BreakerPolicy breaker;
-};
-
 /// One health-state transition, in fire order (the fleet's event log; the
 /// profiler renders these as instant events).
 struct HealthTransition {
@@ -122,10 +81,16 @@ struct HealthTransition {
   std::string reason;
 };
 
+/// Per-replica health state machine. A replica is suspect when its service
+/// latency EWMA (alpha 0.3) exceeds 3x the fleet's fastest EWMA; both need
+/// 3 samples, and at least two replicas must be sampled. A suspect replica
+/// is probed with real traffic every 50 ms so its EWMA can decay back. Each
+/// replica may respawn 3 times, waiting 5, 10 and 20 ms (a jitter-free
+/// backoff ladder); after that it is permanently lost.
 class HealthMonitor {
  public:
-  /// Throws ConfigError for replicas < 1 or out-of-range policy knobs.
-  HealthMonitor(int replicas, HealthPolicy policy);
+  /// Throws ConfigError for replicas < 1.
+  explicit HealthMonitor(int replicas);
 
   ReplicaState state(int replica) const;
   bool alive(int replica) const {
@@ -153,7 +118,7 @@ class HealthMonitor {
   /// Whether the respawn budget still has restarts left.
   bool can_respawn(int replica) const;
   /// Consume one restart from the budget and return the backoff delay to
-  /// wait before the attempt (seeded per replica; requires can_respawn).
+  /// wait before the attempt (requires can_respawn).
   double next_respawn_delay(int replica);
   int restarts_used(int replica) const;
   /// Transition `replica` back to healthy after a successful restart;
@@ -170,7 +135,6 @@ class HealthMonitor {
   const std::vector<HealthTransition>& transitions() const {
     return transitions_;
   }
-  const HealthPolicy& policy() const { return policy_; }
 
  private:
   struct Entry {
@@ -180,9 +144,6 @@ class HealthMonitor {
     int samples = 0;
     int restarts_used = 0;
     double last_probe = -1.0e300;
-    SeededBackoff respawn;
-    explicit Entry(const HealthPolicy& policy, std::uint64_t seed)
-        : breaker(policy.breaker), respawn(policy.respawn_backoff, seed) {}
   };
 
   void transition(int replica, double now, ReplicaState to,
@@ -191,9 +152,9 @@ class HealthMonitor {
   Entry& entry(int replica);
   const Entry& entry(int replica) const;
 
-  HealthPolicy policy_;
   std::vector<Entry> entries_;
   std::vector<HealthTransition> transitions_;
+  SeededBackoff respawn_;
 };
 
 }  // namespace dcn::serve

@@ -6,23 +6,21 @@
 #include "core/error.hpp"
 
 namespace dcn::serve {
+namespace {
+
+/// Quantile of observed service times the hedge delay derives from.
+constexpr double kQuantile = 0.95;
+/// Floor so early noisy estimates cannot hedge near-instantly (seconds).
+constexpr double kMinDelay = 1.0e-4;
+/// Observations required before hedging arms.
+constexpr std::int64_t kMinSamples = 20;
+
+}  // namespace
 
 HedgeController::HedgeController(HedgePolicy policy) : policy_(policy) {
-  if (policy.quantile <= 0.0 || policy.quantile >= 1.0) {
-    throw ConfigError("HedgeController: quantile must be in (0, 1), got " +
-                      std::to_string(policy.quantile));
-  }
   if (policy.factor <= 0.0) {
     throw ConfigError("HedgeController: factor must be > 0, got " +
                       std::to_string(policy.factor));
-  }
-  if (policy.min_delay < 0.0) {
-    throw ConfigError("HedgeController: min_delay must be >= 0, got " +
-                      std::to_string(policy.min_delay));
-  }
-  if (policy.min_samples < 1) {
-    throw ConfigError("HedgeController: min_samples must be >= 1, got " +
-                      std::to_string(policy.min_samples));
   }
 }
 
@@ -32,9 +30,8 @@ void HedgeController::observe(double service_seconds) {
 
 std::optional<double> HedgeController::delay() const {
   if (!policy_.enabled) return std::nullopt;
-  if (histogram_.count() < policy_.min_samples) return std::nullopt;
-  return std::max(policy_.min_delay,
-                  policy_.factor * histogram_.quantile(policy_.quantile));
+  if (histogram_.count() < kMinSamples) return std::nullopt;
+  return std::max(kMinDelay, policy_.factor * histogram_.quantile(kQuantile));
 }
 
 bool HedgeController::should_hedge(double service_seconds) const {

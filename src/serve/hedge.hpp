@@ -1,17 +1,17 @@
 // Deadline-aware hedged requests (tail-latency mitigation).
 //
 // "The Tail at Scale" policy: when a dispatched batch is still running past
-// a delay derived from the observed service-time distribution (factor x
-// p95 by default), an identical hedge is launched on a second replica and
-// the first completion wins. The duplicate completion is suppressed
+// a delay derived from the observed service-time distribution
+// (max(100 us, factor x p95)), an identical hedge is launched on a second
+// replica and the first completion wins. The duplicate completion is suppressed
 // deterministically — exactly one CompletionRecord per request, with the
 // `hedged` CSV column recording that a hedge raced for it.
 //
 // The controller only decides *when* a hedge is warranted; the Server owns
 // replica selection and the duplicate-suppression bookkeeping. Service
 // times feed a streaming histogram, so the hedge delay adapts as the run
-// warms up; until `min_samples` observations it never fires (hedging off a
-// cold estimate amplifies load exactly when the fleet knows least).
+// warms up; until 20 observations it never fires (hedging off a cold
+// estimate amplifies load exactly when the fleet knows least).
 #pragma once
 
 #include <cstdint>
@@ -23,19 +23,13 @@ namespace dcn::serve {
 
 struct HedgePolicy {
   bool enabled = false;
-  /// Quantile of observed service times the hedge delay derives from.
-  double quantile = 0.95;
-  /// Hedge delay = max(min_delay, factor * quantile(service)).
+  /// Hedge delay = max(100 us, factor * p95(service)).
   double factor = 1.0;
-  /// Floor so early noisy estimates cannot hedge near-instantly.
-  double min_delay = 1.0e-4;
-  /// Observations required before hedging arms.
-  int min_samples = 20;
 };
 
 class HedgeController {
  public:
-  /// Throws ConfigError for out-of-range policy knobs.
+  /// Throws ConfigError for factor <= 0.
   explicit HedgeController(HedgePolicy policy = {});
 
   /// Feed one completed service time (seconds).

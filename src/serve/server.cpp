@@ -14,6 +14,13 @@
 #include "simgpu/kernels.hpp"
 
 namespace dcn::serve {
+namespace {
+
+/// Delay between a replica crash and the server acting on it (failure
+/// detection + re-dispatch latency, virtual seconds).
+constexpr double kFailureDetection = 1.0e-3;
+
+}  // namespace
 
 const char* request_status_name(RequestStatus status) {
   switch (status) {
@@ -90,8 +97,7 @@ Server::Server(const graph::Graph& graph, ios::Schedule schedule,
         std::to_string(config_.replica_precisions.size()) +
         " entries for " + std::to_string(config_.replicas) + " replicas");
   }
-  monitor_ =
-      std::make_unique<HealthMonitor>(fleet_size, config_.fleet.health);
+  monitor_ = std::make_unique<HealthMonitor>(fleet_size);
   // Chaos victims draw over the whole fleet: a death landing on an extra
   // backend (a pipeline group) takes down that one group, not the fleet.
   std::vector<simgpu::FaultPlan> chaos_plans;
@@ -149,7 +155,6 @@ ServingReport Server::serve(const std::vector<Request>& trace) {
   HedgeController hedges(config_.fleet.hedge);
   LoadShedder shedder(config_.fleet.shed);
   HealthMonitor& monitor = *monitor_;
-  const HealthPolicy& health = config_.fleet.health;
 
   const int fleet_size = static_cast<int>(replicas_.size());
 
@@ -250,7 +255,7 @@ ServingReport Server::serve(const std::vector<Request>& trace) {
     monitor.mark_dead(r, t, why);
     if (monitor.can_respawn(r)) {
       const double delay = monitor.next_respawn_delay(r);
-      rep.respawn_at = t + health.failure_detection + delay;
+      rep.respawn_at = t + kFailureDetection + delay;
     } else {
       rep.respawn_at = inf;
       monitor.mark_lost(r, t, "respawn budget spent");
@@ -324,7 +329,7 @@ ServingReport Server::serve(const std::vector<Request>& trace) {
                                 static_cast<std::uint64_t>(attempt)),
                        channel);
     rep.backend->arm_faults(config_.faults, salt);
-    rep.backend->reseed_backoff(config_.resilient.backoff_seed, salt);
+    rep.backend->reseed_backoff(salt);
     const BackendOutcome raw = rep.backend->serve_batch(start, batch_size);
     // Straggler windows scale the whole service (retries included); the
     // factor is sampled at dispatch so the outcome resolves synchronously.
@@ -394,7 +399,7 @@ ServingReport Server::serve(const std::vector<Request>& trace) {
       pending.requests = std::move(requests);
       pending.batch_index = batch_index;
       pending.attempt = attempt + 1;
-      pending.ready_at = primary_out.crash_time + health.failure_detection;
+      pending.ready_at = primary_out.crash_time + kFailureDetection;
       redispatch.push_back(std::move(pending));
       return;
     }

@@ -108,7 +108,6 @@ struct CompletionRecord {
 /// Fleet self-healing configuration (all mitigations off by default — the
 /// PR-4 serving behaviour — except health tracking, which is always on).
 struct FleetOptions {
-  HealthPolicy health;
   HedgePolicy hedge;
   ShedPolicy shed;
   /// Seeded fleet-level fault schedule (crash storms, straggler waves).

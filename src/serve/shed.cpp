@@ -5,6 +5,12 @@
 #include "core/error.hpp"
 
 namespace dcn::serve {
+namespace {
+
+/// Minimum time in a state before the next switch (virtual seconds).
+constexpr double kMinDwell = 0.010;
+
+}  // namespace
 
 const char* shed_state_name(ShedState state) {
   switch (state) {
@@ -28,15 +34,11 @@ LoadShedder::LoadShedder(ShedPolicy policy) : policy_(policy) {
         " must be below degrade_watermark " +
         std::to_string(policy.degrade_watermark) + " (hysteresis)");
   }
-  if (policy.min_dwell < 0.0) {
-    throw ConfigError("LoadShedder: min_dwell must be >= 0, got " +
-                      std::to_string(policy.min_dwell));
-  }
 }
 
 bool LoadShedder::update(double now, double occupancy) {
   if (!policy_.enabled) return false;
-  if (now - entered_at_ < policy_.min_dwell) return false;
+  if (now - entered_at_ < kMinDwell) return false;
   if (state_ == ShedState::kNormal &&
       occupancy >= policy_.degrade_watermark) {
     state_ = ShedState::kDegraded;

@@ -6,8 +6,8 @@
 // replica pool — trading the (paper-measured) negligible accuracy loss of
 // post-training quantization for ~2x service throughput. Occupancy falling
 // under the low watermark restores normal routing. Watermark hysteresis
-// plus a minimum dwell time prevent flapping at the boundary; rejection at
-// admission (BoundedQueue) remains the final backstop.
+// plus a 10 ms minimum dwell prevent flapping at the boundary; rejection
+// at admission (BoundedQueue) remains the final backstop.
 //
 // The shedder is a pure occupancy-driven state machine on the virtual
 // clock: same occupancy sequence, same decisions.
@@ -27,14 +27,11 @@ struct ShedPolicy {
   double degrade_watermark = 0.75;
   /// Occupancy at or below which normal routing restores.
   double restore_watermark = 0.25;
-  /// Minimum time in a state before the next switch (virtual seconds).
-  double min_dwell = 0.010;
 };
 
 class LoadShedder {
  public:
-  /// Throws ConfigError for watermarks outside [0, 1], restore >= degrade,
-  /// or negative dwell.
+  /// Throws ConfigError for watermarks outside [0, 1] or restore >= degrade.
   explicit LoadShedder(ShedPolicy policy = {});
 
   /// Observe queue occupancy in [0, 1] at virtual time `now`. Returns true

@@ -154,9 +154,10 @@ Partition partition_graph(const graph::Graph& graph,
 
   // Exact interval costing: every candidate stage is built and priced by
   // the same cost model the executor reproduces. O(n^2) IOS runs on
-  // interval subgraphs — fine at model scale (tens of ops).
-  const std::int64_t budget =
-      options.max_stage_bytes > 0 ? options.max_stage_bytes : spec.dram_bytes;
+  // interval subgraphs — fine at model scale (tens of ops). A stage's
+  // weights + activation workspace must fit the device's DRAM; intervals
+  // that exceed it are infeasible.
+  const std::int64_t budget = spec.dram_bytes;
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<std::vector<double>> interval_cost(
       static_cast<std::size_t>(n),

@@ -41,11 +41,6 @@ struct PartitionOptions {
   /// the microbatch size the pipeline will run; precision selects the
   /// kernel variants and the int8 activation widths).
   ios::IosOptions ios;
-  /// Per-stage memory budget for weights + activation workspace, bytes.
-  /// 0 = the device's DRAM capacity. Intervals that exceed it are
-  /// infeasible; if no K-way split fits, partition_graph throws
-  /// ConfigError.
-  std::int64_t max_stage_bytes = 0;
 };
 
 /// One pipeline stage: a contiguous slice of the model on its own device.

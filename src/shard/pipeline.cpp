@@ -55,9 +55,8 @@ void PipelineGroup::arm_faults(const simgpu::FaultPlan& base,
   }
 }
 
-void PipelineGroup::reseed_backoff(std::uint64_t backoff_seed,
-                                   std::uint64_t salt) {
-  const std::uint64_t dispatch_seed = mix_seed(backoff_seed, salt);
+void PipelineGroup::reseed_backoff(std::uint64_t salt) {
+  const std::uint64_t dispatch_seed = mix_seed(ios::kBackoffSeed, salt);
   for (std::size_t k = 0; k < stages_.size(); ++k) {
     stages_[k].session->reseed_backoff(
         mix_seed(dispatch_seed, static_cast<std::uint64_t>(k)));

@@ -97,8 +97,7 @@ class PipelineGroup : public serve::Backend {
     return static_cast<int>(stages_.size());
   }
   void arm_faults(const simgpu::FaultPlan& base, std::uint64_t salt) override;
-  void reseed_backoff(std::uint64_t backoff_seed,
-                      std::uint64_t salt) override;
+  void reseed_backoff(std::uint64_t salt) override;
   serve::BackendOutcome serve_batch(double start,
                                     std::int64_t batch) override;
   double restart(double now) override;

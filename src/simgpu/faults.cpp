@@ -1,6 +1,7 @@
 #include "simgpu/faults.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -122,12 +123,18 @@ FaultKind parse_kind(const std::string& name) {
   if (name == "memcpy_slow") return FaultKind::kMemcpySlowdown;
   if (name == "alloc") return FaultKind::kAllocFailure;
   if (name == "sync_hang") return FaultKind::kSyncHang;
-  if (name == "replica_death") return FaultKind::kReplicaDeath;
-  if (name == "straggler") return FaultKind::kStraggler;
+  // Replica deaths and straggler windows are fleet faults: the serving
+  // layer builds them from a ChaosConfig, and no device reads them from a
+  // per-device plan, so accepting them here would silently inject nothing.
+  if (name == "replica_death" || name == "straggler") {
+    throw ConfigError("fault kind '" + name +
+                      "' is a fleet fault: use the chaos grammar "
+                      "(crash:at=<t>,... or straggle:at=<t>,dur=<t>,...)");
+  }
   throw ConfigError(
       "unknown fault kind '" + name +
       "' (expected launch | memcpy_corrupt | memcpy_slow | alloc | "
-      "sync_hang | replica_death | straggler)");
+      "sync_hang)");
 }
 
 double parse_number(const std::string& key, const std::string& value) {
@@ -140,6 +147,21 @@ double parse_number(const std::string& key, const std::string& value) {
     throw ConfigError("bad value '" + value + "' for fault key '" + key +
                       "'");
   }
+}
+
+// An integer key's value must be a whole number in [lo, hi]; casting a
+// fraction or an out-of-range double would silently change the rule.
+std::int64_t parse_whole(const std::string& key, const std::string& value,
+                         std::int64_t lo, std::int64_t hi) {
+  const double parsed = parse_number(key, value);
+  if (!(parsed >= static_cast<double>(lo) &&
+        parsed <= static_cast<double>(hi)) ||
+      parsed != std::floor(parsed)) {
+    throw ConfigError("fault key '" + key + "' needs a whole number in [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) +
+                      "], got '" + value + "'");
+  }
+  return static_cast<std::int64_t>(parsed);
 }
 
 }  // namespace
@@ -172,23 +194,41 @@ FaultPlan FaultPlan::parse(const std::string& spec, std::uint64_t seed) {
           rule.max_fires = -1;  // stochastic rules default to unbounded
           triggered = true;
         } else if (key == "at") {
-          rule.at_op = static_cast<std::int64_t>(parse_number(key, value));
+          // 2^53: the largest range in which every whole double is exact.
+          rule.at_op = parse_whole(key, value, 0, std::int64_t{1} << 53);
           triggered = true;
         } else if (key == "after") {
+          // A negative, infinite or NaN time would make a rule that never
+          // fires.
           rule.after_time = parse_number(key, value);
+          if (!(rule.after_time >= 0.0 && std::isfinite(rule.after_time))) {
+            throw ConfigError("fault key 'after' needs a finite time >= 0, "
+                              "got '" + value + "'");
+          }
           triggered = true;
         } else if (key == "fires") {
-          rule.max_fires = static_cast<int>(parse_number(key, value));
+          // -1 = unbounded.
+          rule.max_fires = static_cast<int>(
+              parse_whole(key, value, -1, std::numeric_limits<int>::max()));
         } else if (key == "factor") {
+          // A slowdown below 1 would speed copies up (below 0, make them
+          // take negative time).
           rule.slowdown_factor = parse_number(key, value);
+          if (!(rule.slowdown_factor >= 1.0 &&
+                std::isfinite(rule.slowdown_factor))) {
+            throw ConfigError("fault key 'factor' needs a finite slowdown "
+                              ">= 1, got '" + value + "'");
+          }
         } else if (key == "dur") {
-          rule.duration = parse_number(key, value);
+          throw ConfigError(
+              "fault key 'dur' sets a straggler window: use the chaos "
+              "grammar (straggle:at=<t>,dur=<t>,...)");
         } else if (key == "hang") {
           plan.hang_seconds = parse_number(key, value);
         } else {
           throw ConfigError("unknown fault key '" + key +
                             "' (expected p | at | after | fires | factor | "
-                            "dur | hang)");
+                            "hang)");
         }
       }
     }

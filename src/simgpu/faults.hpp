@@ -107,11 +107,14 @@ struct FaultPlan {
 
   /// Parse a CLI spec: semicolon-separated rules of the form
   ///   kind:key=value[,key=value...]
-  /// with kinds {launch, memcpy_corrupt, memcpy_slow, alloc, sync_hang,
-  /// replica_death, straggler} and keys {p, at, after, fires, factor, dur,
-  /// hang}. Example:
-  ///   "launch:p=0.05;replica_death:after=2;straggler:after=1,dur=3,factor=6"
-  /// Throws ConfigError on malformed specs.
+  /// with kinds {launch, memcpy_corrupt, memcpy_slow, alloc, sync_hang} and
+  /// keys {p, at, after, fires, factor, hang}; `at` and `fires` take whole
+  /// numbers (fires = -1: unbounded), `after` a finite time >= 0 and
+  /// `factor` a finite slowdown >= 1. Example:
+  ///   "launch:p=0.05;sync_hang:at=2,hang=0.1;memcpy_slow:at=0,factor=8"
+  /// Replica deaths and straggler windows are fleet faults with their own
+  /// grammar (serve::ChaosConfig::parse); naming them here throws. Throws
+  /// ConfigError on malformed specs.
   static FaultPlan parse(const std::string& spec, std::uint64_t seed = 0);
 };
 

@@ -6,9 +6,12 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/retry.hpp"
+#include "core/rng.hpp"
 #include "graph/graph.hpp"
 #include "ios/scheduler.hpp"
 #include "profiler/trace.hpp"
@@ -124,10 +127,10 @@ TEST(SeededBackoff, JitterIsClampedStrictlyPositiveAndCapped) {
 }
 
 TEST(SeededBackoff, SeededDelaySequenceIsPinned) {
-  // The respawn policy's delay sequence is a pure function of
-  // (policy, seed, draw index): same seed replays the identical sequence,
-  // reseeding re-anchors it, and jitter-free sequences are exactly the
-  // exponential envelope.
+  // A jittered delay sequence is a pure function of (policy, seed, draw
+  // index): same seed replays the identical sequence, and reseeding
+  // re-anchors it. (HealthMonitor.RespawnBudgetIsBoundedAndNotResetByRespawn
+  // pins the jitter-free respawn ladder.)
   RetryPolicy policy;
   policy.base_backoff = 5.0e-3;
   policy.multiplier = 2.0;
@@ -152,12 +155,6 @@ TEST(SeededBackoff, SeededDelaySequenceIsPinned) {
     EXPECT_DOUBLE_EQ(a.delay(retry),
                      sequence[static_cast<std::size_t>(retry - 1)]);
   }
-  // Jitter-free: the exact default HealthPolicy respawn ladder.
-  HealthPolicy health;
-  SeededBackoff exact(health.respawn_backoff, 1);
-  EXPECT_DOUBLE_EQ(exact.delay(1), 5.0e-3);
-  EXPECT_DOUBLE_EQ(exact.delay(2), 1.0e-2);
-  EXPECT_DOUBLE_EQ(exact.delay(3), 2.0e-2);
 }
 
 // --- Batcher drops expired requests (satellite) ----------------------------
@@ -218,12 +215,10 @@ TEST(DynamicBatcher, DrainEmptiesQueueWithoutCountingABatch) {
 
 // --- Circuit breaker FSM ---------------------------------------------------
 
+// Three consecutive failures trip a breaker; it half-opens after 50 ms and
+// closes after two half-open successes.
 TEST(CircuitBreaker, TripsAfterConsecutiveFailuresAndCoolsDown) {
-  BreakerPolicy policy;
-  policy.failure_threshold = 3;
-  policy.open_seconds = 0.1;
-  policy.half_open_successes = 2;
-  CircuitBreaker breaker(policy);
+  CircuitBreaker breaker;
 
   EXPECT_EQ(breaker.state(0.0), BreakerState::kClosed);
   breaker.record_failure(1.0);
@@ -237,19 +232,16 @@ TEST(CircuitBreaker, TripsAfterConsecutiveFailuresAndCoolsDown) {
   breaker.record_failure(1.5);  // third consecutive: trips open
   EXPECT_EQ(breaker.state(1.5), BreakerState::kOpen);
   EXPECT_EQ(breaker.opens(), 1);
-  EXPECT_FALSE(breaker.allows(1.55));
-  EXPECT_DOUBLE_EQ(breaker.allows_at(1.55), 1.6);
+  EXPECT_FALSE(breaker.allows(1.52));
+  EXPECT_DOUBLE_EQ(breaker.allows_at(1.52), 1.55);
   // Past the cool-down: half-open (derived from the clock, no event).
-  EXPECT_EQ(breaker.state(1.6), BreakerState::kHalfOpen);
-  EXPECT_TRUE(breaker.allows(1.6));
+  EXPECT_EQ(breaker.state(1.55), BreakerState::kHalfOpen);
+  EXPECT_TRUE(breaker.allows(1.55));
 }
 
 TEST(CircuitBreaker, HalfOpenClosesOnSuccessesAndReopensOnFailure) {
-  BreakerPolicy policy;
-  policy.failure_threshold = 2;
-  policy.open_seconds = 0.05;
-  policy.half_open_successes = 2;
-  CircuitBreaker breaker(policy);
+  CircuitBreaker breaker;
+  breaker.record_failure(0.0);
   breaker.record_failure(0.0);
   breaker.record_failure(0.0);
   ASSERT_EQ(breaker.state(0.0), BreakerState::kOpen);
@@ -268,41 +260,36 @@ TEST(CircuitBreaker, HalfOpenClosesOnSuccessesAndReopensOnFailure) {
   EXPECT_TRUE(breaker.allows(0.13));
 }
 
-TEST(CircuitBreaker, Validation) {
-  BreakerPolicy bad;
-  bad.failure_threshold = 0;
-  EXPECT_THROW(HealthMonitor(1, HealthPolicy{.breaker = bad}), ConfigError);
-}
-
 // --- Health monitor --------------------------------------------------------
 
+// A replica is suspect when its latency EWMA (alpha 0.3) exceeds 3x the
+// fleet's fastest, once both have 3 samples; suspects are probed every 50 ms.
 TEST(HealthMonitor, StragglerSuspicionAndRecovery) {
-  HealthPolicy policy;
-  policy.ewma_alpha = 1.0;  // EWMA == last sample: easy to steer
-  policy.suspect_factor = 3.0;
-  policy.min_samples = 2;
-  HealthMonitor monitor(2, policy);
+  HealthMonitor monitor(2);
 
   // Both replicas sampled fast: everyone healthy.
-  monitor.observe_success(0, 1.0, 0.010);
-  monitor.observe_success(0, 1.1, 0.010);
-  monitor.observe_success(1, 1.2, 0.010);
-  monitor.observe_success(1, 1.3, 0.010);
+  for (int i = 0; i < 3; ++i) {
+    monitor.observe_success(0, 1.0 + 0.1 * i, 0.010);
+    monitor.observe_success(1, 1.05 + 0.1 * i, 0.010);
+  }
   EXPECT_EQ(monitor.healthy_count(), 2);
 
-  // Replica 1 slows past 3x the fleet baseline: suspect.
-  monitor.observe_success(1, 2.0, 0.050);
+  // Replica 1 slows: EWMA 0.3 * 0.100 + 0.7 * 0.010 = 0.037, past 3x the
+  // fleet baseline of 0.010: suspect.
+  monitor.observe_success(1, 2.0, 0.100);
+  EXPECT_NEAR(monitor.latency_ewma(1), 0.037, 1e-12);
   EXPECT_EQ(monitor.state(1), ReplicaState::kSuspect);
   EXPECT_EQ(monitor.suspect_count(), 1);
 
-  // Probe cadence: due immediately, then throttled by probe_interval.
+  // Probe cadence: due immediately, then throttled for 50 ms.
   EXPECT_TRUE(monitor.probe_due(1, 2.0));
   monitor.note_probe(1, 2.0);
-  EXPECT_FALSE(monitor.probe_due(1, 2.0 + policy.probe_interval / 2.0));
-  EXPECT_TRUE(monitor.probe_due(1, 2.0 + 1.1 * policy.probe_interval));
+  EXPECT_FALSE(monitor.probe_due(1, 2.025));
+  EXPECT_TRUE(monitor.probe_due(1, 2.055));
 
-  // A fast probe decays the EWMA back under the threshold: recovered.
-  monitor.observe_success(1, 3.0, 0.012);
+  // A fast probe decays the EWMA to 0.0289, back under the threshold:
+  // recovered.
+  monitor.observe_success(1, 3.0, 0.010);
   EXPECT_EQ(monitor.state(1), ReplicaState::kHealthy);
 
   // The transition log captured the round trip.
@@ -311,31 +298,25 @@ TEST(HealthMonitor, StragglerSuspicionAndRecovery) {
   EXPECT_EQ(monitor.transitions()[1].to, ReplicaState::kHealthy);
 }
 
+// Each replica may respawn 3 times, after 5, 10 and 20 ms of backoff.
 TEST(HealthMonitor, RespawnBudgetIsBoundedAndNotResetByRespawn) {
-  HealthPolicy policy;
-  policy.max_restarts = 2;
-  HealthMonitor monitor(1, policy);
+  HealthMonitor monitor(1);
+  const double ladder[] = {5.0e-3, 1.0e-2, 2.0e-2};
+  for (int restart = 1; restart <= 3; ++restart) {
+    // The budget survives each respawn.
+    monitor.mark_dead(0, restart, "crash");
+    EXPECT_FALSE(monitor.alive(0));
+    ASSERT_TRUE(monitor.can_respawn(0));
+    EXPECT_DOUBLE_EQ(monitor.next_respawn_delay(0), ladder[restart - 1]);
+    monitor.mark_respawned(0, restart + 0.1);
+    EXPECT_TRUE(monitor.alive(0));
+    EXPECT_EQ(monitor.restarts_used(0), restart);
+  }
 
-  monitor.mark_dead(0, 1.0, "crash");
-  EXPECT_FALSE(monitor.alive(0));
-  ASSERT_TRUE(monitor.can_respawn(0));
-  const double d1 = monitor.next_respawn_delay(0);
-  EXPECT_GT(d1, 0.0);
-  monitor.mark_respawned(0, 1.1);
-  EXPECT_TRUE(monitor.alive(0));
-  EXPECT_EQ(monitor.restarts_used(0), 1);
-
-  // Second crash: one restart left (the budget survives the respawn).
-  monitor.mark_dead(0, 2.0, "crash");
-  ASSERT_TRUE(monitor.can_respawn(0));
-  const double d2 = monitor.next_respawn_delay(0);
-  EXPECT_GT(d2, d1);  // exponential ladder
-  monitor.mark_respawned(0, 2.1);
-
-  // Third crash: budget spent, the replica is lost for good.
-  monitor.mark_dead(0, 3.0, "crash");
+  // Fourth crash: budget spent, the replica is lost for good.
+  monitor.mark_dead(0, 4.0, "crash");
   EXPECT_FALSE(monitor.can_respawn(0));
-  monitor.mark_lost(0, 3.0, "respawn budget spent");
+  monitor.mark_lost(0, 4.0, "respawn budget spent");
   EXPECT_EQ(monitor.dead_count(), 1);
   EXPECT_FALSE(monitor.alive(0));
 }
@@ -369,6 +350,80 @@ TEST(ChaosConfig, ParsesCampaignSpecs) {
                ConfigError);
   EXPECT_THROW(ChaosConfig::parse("crash:at=bogus"), ConfigError);
   EXPECT_THROW(ChaosConfig::parse("crash:at"), ConfigError);
+}
+
+// Counts and victim indices must not be truncated from doubles.
+TEST(ChaosConfig, RejectsNonWholeCounts) {
+  EXPECT_THROW(ChaosConfig::parse("crash:at=1,kills=2.9"), ConfigError);
+  EXPECT_THROW(ChaosConfig::parse("straggle:at=1,dur=1,count=1.5"),
+               ConfigError);
+  EXPECT_THROW(ChaosConfig::parse("crash:at=1,victims=0.7"), ConfigError);
+  EXPECT_THROW(ChaosConfig::parse("crash:at=1,victims=1+2.5"), ConfigError);
+  EXPECT_THROW(ChaosConfig::parse("crash:at=1,kills=-1,victims=0"),
+               ConfigError);
+  EXPECT_THROW(ChaosConfig::parse("straggle:at=1,dur=1,count=-1"),
+               ConfigError);
+  EXPECT_THROW(ChaosConfig::parse("crash:at=1,kills=1e10"), ConfigError);
+  EXPECT_THROW(ChaosConfig::parse("crash:at=1,kills=nan"), ConfigError);
+  const auto config = ChaosConfig::parse("crash:at=1,kills=0,victims=0+3");
+  ASSERT_EQ(config.storms.size(), 1u);
+  EXPECT_EQ(config.storms[0].kills, 0);
+  EXPECT_EQ(config.storms[0].victims, (std::vector<int>{0, 3}));
+}
+
+// Seeded property test over the grammar's tokens: parse returns or throws
+// dcn::Error, and a spec that gives kills, count or a victim anything but a
+// whole number >= 0 that fits an int is rejected.
+TEST(ChaosConfig, RandomSpecsParseOrThrowAndKeepCountsWhole) {
+  const std::vector<std::string> kinds = {"crash", "straggle", "meteor"};
+  const std::vector<std::string> keys = {"at",    "victims", "kills", "perm",
+                                         "dur",   "count",   "factor", "x"};
+  const std::vector<std::string> values = {
+      "0",   "1",    "2",     "3",   "-1",  "0.7", "2.9", "1e300",
+      "nan", "inf",  "",      "abc", "1+2", "0+0", "1+2.5"};
+  const auto whole = [](const std::string& v) {
+    return v == "0" || v == "1" || v == "2" || v == "3";
+  };
+  const auto whole_list = [&](const std::string& v) {
+    return whole(v) || v == "1+2" || v == "0+0";
+  };
+  Rng rng(2024);
+  const auto pick = [&](const std::vector<std::string>& from) {
+    return from[rng.index(from.size())];
+  };
+  int parsed = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string spec;
+    bool must_throw = false;
+    const std::int64_t campaigns = rng.uniform_int(1, 3);
+    for (std::int64_t c = 0; c < campaigns; ++c) {
+      if (c > 0) spec += ';';
+      spec += pick(kinds);
+      // Most campaigns lead with at= and a straggle's dur=, so a fair share
+      // of specs parse.
+      const std::int64_t pairs = rng.uniform_int(0, 4);
+      for (std::int64_t k = 0; k < pairs; ++k) {
+        const std::string key = k == 0 && rng.bernoulli(0.8)   ? "at"
+                                : k == 1 && rng.bernoulli(0.8) ? "dur"
+                                                               : pick(keys);
+        const std::string value = pick(values);
+        spec += (k == 0 ? ":" : ",") + key + "=" + value;
+        must_throw |= ((key == "kills" || key == "count") && !whole(value)) ||
+                      (key == "victims" && !whole_list(value));
+      }
+    }
+    try {
+      const ChaosConfig config = ChaosConfig::parse(spec, 7);
+      EXPECT_FALSE(must_throw) << spec;
+      ++parsed;
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  // The draw exercises both outcomes.
+  EXPECT_GT(parsed, 50);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(ChaosConfig, MaterializationIsDeterministicAndValidated) {
@@ -428,7 +483,6 @@ TEST(LoadShedder, HysteresisAndDwell) {
   policy.enabled = true;
   policy.degrade_watermark = 0.75;
   policy.restore_watermark = 0.25;
-  policy.min_dwell = 0.010;
   LoadShedder shedder(policy);
 
   EXPECT_FALSE(shedder.update(0.0, 0.5));
@@ -449,16 +503,16 @@ TEST(LoadShedder, HysteresisAndDwell) {
 
 // --- Hedge controller ------------------------------------------------------
 
+// Hedging arms after 20 observed services; the delay is
+// max(100 us, factor * p95).
 TEST(HedgeController, ArmsAfterMinSamplesAndDerivesDelay) {
   HedgePolicy policy;
   policy.enabled = true;
-  policy.quantile = 0.95;
   policy.factor = 2.0;
-  policy.min_delay = 1.0e-4;
-  policy.min_samples = 5;
   HedgeController hedges(policy);
+  for (int i = 0; i < 19; ++i) hedges.observe(0.010);
   EXPECT_FALSE(hedges.delay().has_value());
-  for (int i = 0; i < 5; ++i) hedges.observe(0.010);
+  hedges.observe(0.010);
   ASSERT_TRUE(hedges.delay().has_value());
   EXPECT_NEAR(*hedges.delay(), 0.020, 1e-3);
   EXPECT_FALSE(hedges.should_hedge(0.015));
@@ -467,8 +521,6 @@ TEST(HedgeController, ArmsAfterMinSamplesAndDerivesDelay) {
   HedgeController disabled{HedgePolicy{}};
   disabled.observe(1.0);
   EXPECT_FALSE(disabled.delay().has_value());
-  EXPECT_THROW(HedgeController(HedgePolicy{.enabled = true, .quantile = 1.5}),
-               ConfigError);
 }
 
 // --- Fleet serving scenarios ----------------------------------------------
@@ -620,7 +672,6 @@ TEST(ChaosServe, HedgesRaceStragglersAndSuppressDuplicates) {
   config.replicas = 3;
   config.fleet.hedge.enabled = true;
   config.fleet.hedge.factor = 1.5;
-  config.fleet.hedge.min_samples = 10;
   config.fleet.chaos =
       ChaosConfig::parse("straggle:at=2,dur=3,factor=25,victims=0", 9);
   Server server(g, s, config);
@@ -675,7 +726,6 @@ TEST(ChaosServe, OverloadDegradesToInt8PoolBeforeRejecting) {
   config.fleet.shed.enabled = true;
   config.fleet.shed.degrade_watermark = 0.5;
   config.fleet.shed.restore_watermark = 0.125;
-  config.fleet.shed.min_dwell = 5.0e-3;
   Server server(g, s, config);
   const ServingReport report = server.serve(trace);
 
@@ -747,7 +797,6 @@ TEST(ChaosServe, AcceptanceScenarioHoldsSloWithinTenPointsOfFaultFree) {
   config.replicas = 8;
   config.fleet.hedge.enabled = true;
   config.fleet.hedge.factor = 2.0;
-  config.fleet.hedge.min_samples = 20;
 
   // Fault-free baseline.
   Server baseline(g, s, config);

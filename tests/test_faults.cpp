@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/retry.hpp"
@@ -65,6 +66,107 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("launch:p"), ConfigError);
   EXPECT_THROW(FaultPlan::parse("launch:p=lots"), ConfigError);
   EXPECT_THROW(FaultPlan::parse("launch"), ConfigError);  // no trigger
+}
+
+// No device reads replica deaths or straggler windows from a per-device
+// plan, and integer keys must not be truncated from doubles.
+TEST(FaultPlan, RejectsFleetKindsAndNonWholeIntegers) {
+  EXPECT_THROW(FaultPlan::parse("replica_death:after=0.1"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("straggler:after=0.1,dur=5,factor=8"),
+               ConfigError);
+  EXPECT_THROW(FaultPlan::parse("memcpy_slow:after=0.1,dur=5,factor=8"),
+               ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:at=1e300"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:at=-1"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:at=1.5"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:at=nan"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:at=0,fires=2.7"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:at=0,fires=1e10"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:at=0,fires=-2"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:after=-1"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:after=nan"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("launch:after=inf"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("memcpy_slow:p=1,factor=-2"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("memcpy_slow:p=1,factor=0.5"), ConfigError);
+  // Whole numbers in range still parse; fires = -1 is unbounded.
+  const FaultPlan plan = FaultPlan::parse("launch:at=3,fires=-1");
+  ASSERT_EQ(plan.rules.size(), 1u);
+  EXPECT_EQ(plan.rules[0].at_op, 3);
+  EXPECT_EQ(plan.rules[0].max_fires, -1);
+}
+
+// Seeded property test over the grammar's tokens: parse returns or throws
+// dcn::Error, every rule it returns has a kind the Device checks, and a spec
+// that names a fleet kind, uses `dur`, gives `at`/`fires` anything but a
+// whole number in range, `after` anything but a finite time >= 0, or
+// `factor` anything but a finite slowdown >= 1 is rejected.
+TEST(FaultPlan, RandomSpecsParseOrThrowAndYieldOnlyDeviceKinds) {
+  const std::vector<std::string> kinds = {
+      "launch",        "memcpy_corrupt", "memcpy_slow", "alloc",
+      "sync_hang",     "replica_death",  "straggler",   "meteor"};
+  const std::vector<std::string> keys = {"p",      "at",   "after", "fires",
+                                         "factor", "dur",  "hang",  "x"};
+  const std::vector<std::string> values = {
+      "0",      "1",   "2",   "-1",  "0.5", "2.7", "1e300",
+      "-1e300", "1e18", "nan", "inf", "",    "abc", "3x"};
+  const auto whole_at = [](const std::string& v) {
+    return v == "0" || v == "1" || v == "2";
+  };
+  const auto whole_fires = [&](const std::string& v) {
+    return whole_at(v) || v == "-1";
+  };
+  const auto finite_time = [&](const std::string& v) {
+    return whole_at(v) || v == "0.5" || v == "2.7" || v == "1e300" ||
+           v == "1e18";
+  };
+  const auto slowdown = [&](const std::string& v) {
+    return v == "1" || v == "2" || v == "2.7" || v == "1e300" || v == "1e18";
+  };
+  Rng rng(2024);
+  const auto pick = [&](const std::vector<std::string>& from) {
+    return from[rng.index(from.size())];
+  };
+  int parsed = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string spec;
+    bool must_throw = false;
+    const std::int64_t rules = rng.uniform_int(1, 3);
+    for (std::int64_t r = 0; r < rules; ++r) {
+      if (r > 0) spec += ';';
+      const std::string kind = pick(kinds);
+      must_throw |= kind == "replica_death" || kind == "straggler";
+      spec += kind;
+      // Most rules lead with a trigger key, so a fair share of specs parse.
+      const std::int64_t pairs = rng.uniform_int(0, 3);
+      for (std::int64_t k = 0; k < pairs; ++k) {
+        const std::string key =
+            k == 0 && rng.bernoulli(0.8) ? pick({"p", "at", "after"})
+                                         : pick(keys);
+        const std::string value = pick(values);
+        spec += (k == 0 ? ":" : ",") + key + "=" + value;
+        must_throw |= key == "dur" ||
+                      (key == "at" && !whole_at(value)) ||
+                      (key == "fires" && !whole_fires(value)) ||
+                      (key == "after" && !finite_time(value)) ||
+                      (key == "factor" && !slowdown(value));
+      }
+    }
+    try {
+      const FaultPlan plan = FaultPlan::parse(spec, 7);
+      EXPECT_FALSE(must_throw) << spec;
+      for (const simgpu::FaultRule& rule : plan.rules) {
+        EXPECT_NE(rule.kind, FaultKind::kReplicaDeath) << spec;
+        EXPECT_NE(rule.kind, FaultKind::kStraggler) << spec;
+      }
+      ++parsed;
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  // The draw exercises both outcomes.
+  EXPECT_GT(parsed, 50);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(FaultInjector, ScheduledRuleFiresAtOpAndRespectsMaxFires) {

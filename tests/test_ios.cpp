@@ -176,59 +176,53 @@ TEST(Optimize, ParallelizesSppBranches) {
 }
 
 TEST(Optimize, PruningWidthStillYieldsValidSchedule) {
+  // 7 branches: a 14-op block, small enough for the DP and larger than the
+  // pruning width, so the widest stage the DP could pick is pruned away.
   const auto spec = simgpu::a5500_spec();
-  const auto g = spp_graph(detect::sppnet_candidate2());
-  IosOptions options;
-  options.max_stage_ops = 2;
-  const Schedule opt = optimize_schedule(g, spec, options);
+  const auto g = small_branched_graph(7);
+  static_assert(14 <= kMaxDpOps && 14 > kMaxStageOps);
+  const Schedule opt = optimize_schedule(g, spec);
   validate_schedule(g, opt);
   // The pruning width bounds DP-produced stages (the branched block);
   // multi-group stages can only come from the DP.
+  bool multi_group = false;
   for (const Stage& stage : opt.stages) {
     if (stage.groups.size() < 2) continue;
+    multi_group = true;
     std::size_t ops = 0;
     for (const Group& group : stage.groups) ops += group.ops.size();
-    EXPECT_LE(ops, 2u);
+    EXPECT_LE(ops, static_cast<std::size_t>(kMaxStageOps));
   }
+  EXPECT_TRUE(multi_group);
 }
 
 TEST(Optimize, OversizedBlockFallsBackToBranchHeuristic) {
+  // 9 branches: an 18-op block, above kMaxDpOps. The heuristic puts all 18
+  // ops in one stage, one group per branch, which the DP's pruning width
+  // would never allow.
   const auto spec = simgpu::a5500_spec();
-  const auto g = spp_graph(detect::sppnet_candidate2());
-  IosOptions options;
-  options.max_block_ops = 2;  // force the fallback path
-  const Schedule opt = optimize_schedule(g, spec, options);
+  const auto g = small_branched_graph(9);
+  static_assert(18 > kMaxDpOps && 18 > kMaxStageOps);
+  const Schedule opt = optimize_schedule(g, spec);
   validate_schedule(g, opt);
+  bool heuristic_stage = false;
+  for (const Stage& stage : opt.stages) {
+    std::size_t ops = 0;
+    for (const Group& group : stage.groups) ops += group.ops.size();
+    if (ops == 18 && stage.groups.size() == 9) heuristic_stage = true;
+  }
+  EXPECT_TRUE(heuristic_stage);
 }
 
 TEST(Optimize, BlockBeyondDpMaskWidthFallsBackInsteadOfCrashing) {
   // A 16-branch block holds more device ops (32) than the 32-bit DP mask
-  // can represent. Raising max_block_ops past kMaxDpOps used to route it
-  // into the DP's size assertion; it must degrade to the branch heuristic.
+  // can represent; it must take the branch heuristic.
   const auto spec = simgpu::a5500_spec();
   const auto g = small_branched_graph(16);
-  IosOptions options;
-  options.max_block_ops = 64;  // above kMaxDpOps on purpose
-  options.max_stage_ops = 64;
-  const Schedule opt = optimize_schedule(g, spec, options);
+  const Schedule opt = optimize_schedule(g, spec);
   validate_schedule(g, opt);
   EXPECT_LE(schedule_cost(g, spec, opt, 1),
             schedule_cost(g, spec, sequential_schedule(g), 1) + 1e-12);
-}
-
-TEST(Optimize, RaisedBlockLimitStillRunsDpOnSmallBlocks) {
-  // max_block_ops above kMaxDpOps is clamped, not rejected: blocks that do
-  // fit the mask keep getting the exact DP.
-  const auto spec = simgpu::a5500_spec();
-  const auto g = small_branched_graph(3);
-  IosOptions options;
-  options.max_block_ops = 64;
-  options.batch = 1;
-  const Schedule opt = optimize_schedule(g, spec, options);
-  validate_schedule(g, opt);
-  EXPECT_LE(schedule_cost(g, spec, opt, 1),
-            brute_force_best_cost(g, spec, 1) + 2 * spec.inter_stage_gap +
-                1e-9);
 }
 
 TEST(Executor, LatencyIsDeterministic) {
@@ -424,17 +418,6 @@ TEST(Gantt, SequentialScheduleIsSingleRow) {
       ios::render_gantt(g, spec, ios::sequential_schedule(g));
   EXPECT_NE(gantt.find("stream 0"), std::string::npos);
   EXPECT_EQ(gantt.find("stream 1"), std::string::npos);
-}
-
-TEST(Gantt, RejectsSillyWidth) {
-  const auto g =
-      graph::build_inference_graph(detect::original_sppnet(), 64);
-  const auto spec = simgpu::a5500_spec();
-  ios::GanttOptions options;
-  options.width = 5;
-  EXPECT_THROW(
-      ios::render_gantt(g, spec, ios::sequential_schedule(g), options),
-      Error);
 }
 
 }  // namespace

@@ -187,20 +187,20 @@ TEST(Partition, CutEdgesCarryTransferCostAndBalanceBeatsWorstStage) {
 
 TEST(Partition, MemoryBudgetMakesSingleStageInfeasible) {
   const auto g = fat_fc_graph(4, 512);
-  const auto spec = simgpu::a5500_spec();
+  auto spec = simgpu::a5500_spec();
   PartitionOptions options;
   options.ios.batch = 1;
-  // Budget below the whole model but above a quarter of it: K = 1 must
-  // throw, K = 4 must fit.
+  // Device DRAM below the whole model but above a quarter of it: K = 1
+  // must throw, K = 4 must fit.
   const auto whole_bytes =
       static_cast<std::int64_t>(simgpu::total_weight_bytes(g));
-  options.max_stage_bytes = whole_bytes / 2;
+  spec.dram_bytes = whole_bytes / 2;
   options.stages = 1;
   EXPECT_THROW(partition_graph(g, spec, options), ConfigError);
   options.stages = 4;
   const Partition partition = partition_graph(g, spec, options);
   for (const StagePlan& stage : partition.stages) {
-    EXPECT_LE(stage.resident_bytes, options.max_stage_bytes);
+    EXPECT_LE(stage.resident_bytes, spec.dram_bytes);
   }
 }
 
@@ -445,7 +445,6 @@ TEST(PipelineServing, GroupDeathDegradesOneGroupNotTheFleet) {
 
   serve::ServerConfig config = light_config();
   config.replicas = 0;
-  config.fleet.health.failure_detection = 5.0e-3;
   config.fleet.chaos.seed = 5;
   // One transient crash mid-run: some group goes down, restarts, rejoins.
   serve::CrashStorm storm;

@@ -46,8 +46,7 @@ Tensor planted_crossing(std::int64_t size, std::int64_t cy, std::int64_t cx) {
 
 TEST(ProposeRegions, FindsPlantedCrossing) {
   const Tensor img = planted_crossing(64, 32, 32);
-  ProposalConfig config;
-  const auto proposals = propose_regions(img, config);
+  const auto proposals = propose_regions(img);
   ASSERT_FALSE(proposals.empty());
   // The top proposal is near the planted crossing.
   const Proposal& top = proposals.front();
@@ -64,7 +63,7 @@ TEST(ProposeRegions, EmptySceneYieldsNothing) {
     img[2 * 4096 + i] = 0.20f;
     img[3 * 4096 + i] = 0.70f;
   }
-  EXPECT_TRUE(propose_regions(img, ProposalConfig{}).empty());
+  EXPECT_TRUE(propose_regions(img).empty());
 }
 
 TEST(ProposeRegions, RoadWithoutWaterYieldsNothing) {
@@ -73,7 +72,7 @@ TEST(ProposeRegions, RoadWithoutWaterYieldsNothing) {
   for (std::int64_t i = 0; i < 64 * 64; ++i) {
     if (img[3 * 4096 + i] < 0.1f) img[3 * 4096 + i] = 0.7f;
   }
-  EXPECT_TRUE(propose_regions(img, ProposalConfig{}).empty());
+  EXPECT_TRUE(propose_regions(img).empty());
 }
 
 TEST(ProposeRegions, NmsSeparatesDistinctCrossings) {
@@ -87,25 +86,31 @@ TEST(ProposeRegions, NmsSeparatesDistinctCrossings) {
       img[i] = second[i];
     }
   }
-  ProposalConfig config;
-  config.max_proposals = 8;
-  const auto proposals = propose_regions(img, config);
+  const auto proposals = propose_regions(img);
   EXPECT_GE(proposals.size(), 2u);
 }
 
 TEST(ProposeRegions, RespectsMaxProposals) {
-  const Tensor img = planted_crossing(64, 32, 32);
-  ProposalConfig config;
-  config.max_proposals = 1;
-  config.nms_radius = 0.01;  // effectively no suppression
-  EXPECT_LE(propose_regions(img, config).size(), 1u);
+  // A 4x4 grid of crossings 64 px apart: 16 well-separated candidates, of
+  // which only the 8-proposal cap survives.
+  Tensor img = planted_crossing(256, 32, 32);
+  for (std::int64_t cy = 32; cy < 256; cy += 64) {
+    for (std::int64_t cx = 32; cx < 256; cx += 64) {
+      const Tensor other = planted_crossing(256, cy, cx);
+      for (std::int64_t i = 0; i < img.numel(); ++i) {
+        if (other[i] != 0.25f && other[i] != 0.35f && other[i] != 0.20f &&
+            other[i] != 0.70f) {
+          img[i] = other[i];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(propose_regions(img).size(), 8u);
 }
 
 TEST(ProposeRegions, RejectsWrongRank) {
-  EXPECT_THROW(propose_regions(Tensor(Shape{64, 64}), ProposalConfig{}),
-               dcn::Error);
-  EXPECT_THROW(propose_regions(Tensor(Shape{3, 64, 64}), ProposalConfig{}),
-               dcn::Error);
+  EXPECT_THROW(propose_regions(Tensor(Shape{64, 64})), dcn::Error);
+  EXPECT_THROW(propose_regions(Tensor(Shape{3, 64, 64})), dcn::Error);
 }
 
 TEST(RcnnLiteDetector, ScoresProposalsWithSppNet) {
@@ -113,7 +118,7 @@ TEST(RcnnLiteDetector, ScoresProposalsWithSppNet) {
   SppNetConfig config = parse_notation(
       "C_{4,3,1}-P_{2,2}-SPP_{2,1}-F_{8}", 4);
   SppNet scorer(config, rng);
-  RcnnLiteDetector detector(scorer, ProposalConfig{});
+  RcnnLiteDetector detector(scorer);
   const Tensor img = planted_crossing(64, 32, 32);
   const Prediction pred = detector.detect(img);
   EXPECT_GE(pred.confidence, 0.0f);
@@ -127,7 +132,7 @@ TEST(RcnnLiteDetector, NoProposalsMeansZeroConfidence) {
   SppNetConfig config = parse_notation(
       "C_{4,3,1}-P_{2,2}-SPP_{2,1}-F_{8}", 4);
   SppNet scorer(config, rng);
-  RcnnLiteDetector detector(scorer, ProposalConfig{});
+  RcnnLiteDetector detector(scorer);
   Tensor empty(Shape{4, 64, 64});
   for (std::int64_t i = 0; i < 64 * 64; ++i) {
     empty[3 * 4096 + i] = 0.7f;  // vegetation NIR, nothing gray

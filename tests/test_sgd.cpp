@@ -1,4 +1,4 @@
-// Tests for the SGD optimizer (momentum, weight decay, clipping).
+// Tests for the SGD optimizer (momentum, weight decay).
 #include "nn/sgd.hpp"
 
 #include <gtest/gtest.h>
@@ -68,31 +68,6 @@ TEST(Sgd, GradNorm) {
   Param b(0.0f, 4.0f);
   Sgd opt({a.ref(), b.ref()}, SgdConfig{});
   EXPECT_NEAR(opt.grad_norm(), 5.0, 1e-6);
-}
-
-TEST(Sgd, ClipNormRescales) {
-  Param p(0.0f, 10.0f);
-  SgdConfig config;
-  config.learning_rate = 1.0;
-  config.momentum = 0.0;
-  config.weight_decay = 0.0;
-  config.clip_norm = 1.0;
-  Sgd opt({p.ref()}, config);
-  opt.step();
-  // grad clipped from 10 to 1.
-  EXPECT_NEAR(p.value[0], -1.0f, 1e-6f);
-}
-
-TEST(Sgd, ClipNormInactiveBelowThreshold) {
-  Param p(0.0f, 0.5f);
-  SgdConfig config;
-  config.learning_rate = 1.0;
-  config.momentum = 0.0;
-  config.weight_decay = 0.0;
-  config.clip_norm = 1.0;
-  Sgd opt({p.ref()}, config);
-  opt.step();
-  EXPECT_NEAR(p.value[0], -0.5f, 1e-7f);
 }
 
 TEST(Sgd, ZeroGradClears) {
